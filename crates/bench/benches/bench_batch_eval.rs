@@ -2,13 +2,13 @@
 //! batched evaluation throughput (gate-evals/sec) on a Theorem 4.5 trace
 //! circuit with ≥ 10^5 gates.
 //!
-//! Four evaluation strategies are compared on the same 64 input assignments:
+//! Three evaluation strategies are compared on the same 64 input assignments:
 //!
 //! * `rebuild_per_call_x64` — the pre-compile workflow: `Circuit::evaluate`
 //!   lowers to CSR on every call;
 //! * `compiled_scalar_x64` — compile once, 64 sequential scalar evaluations;
-//! * `compiled_parallel_x64` — compile once, 64 layer-parallel evaluations;
-//! * `batch64` — compile once, one bit-sliced pass over all 64 lanes.
+//! * `arena64` — compile once, one bit-sliced `evaluate_rows_arena::<1>`
+//!   pass over all 64 lanes in a reused `PlaneArena`.
 //!
 //! `batch_speedup_report` prints the measured batched-vs-scalar ratio
 //! explicitly (the acceptance target is ≥ 8x over 64 sequential scalar
@@ -18,13 +18,13 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fast_matmul::BilinearAlgorithm;
-use tc_circuit::Batch64;
+use tc_circuit::PlaneArena;
 use tc_graph::generators;
 use tcmm_core::{trace::TraceCircuit, CircuitConfig};
 
 /// Builds a trace circuit with at least 10^5 gates and encodes 64 random
-/// graph adjacency matrices into packed input rows.
-fn workload() -> (TraceCircuit, Vec<Vec<bool>>, Batch64) {
+/// graph adjacency matrices into input rows.
+fn workload() -> (TraceCircuit, Vec<Vec<bool>>) {
     let config = CircuitConfig::binary(BilinearAlgorithm::strassen());
     // N = 16, d = 2 gives ~881k gates for the binary Strassen recipe —
     // comfortably above the 10^5-gate floor while keeping the bench quick.
@@ -46,12 +46,13 @@ fn workload() -> (TraceCircuit, Vec<Vec<bool>>, Batch64) {
             bits
         })
         .collect();
-    let batch = Batch64::pack(circuit.circuit().num_inputs(), &rows).unwrap();
-    (circuit, rows, batch)
+    (circuit, rows)
 }
 
 fn bench_batch_eval(c: &mut Criterion) {
-    let (circuit, rows, batch) = workload();
+    let (circuit, rows) = workload();
+    let refs: Vec<&[bool]> = rows.iter().map(Vec::as_slice).collect();
+    let mut arena = PlaneArena::new();
     let compiled = circuit.compiled();
     let gate_evals = 64 * circuit.circuit().num_gates() as u64;
 
@@ -71,24 +72,22 @@ fn bench_batch_eval(c: &mut Criterion) {
             }
         });
     });
-    group.bench_function("compiled_parallel_x64", |bench| {
+    group.bench_function("arena64", |bench| {
         bench.iter(|| {
-            for row in &rows {
-                compiled
-                    .evaluate_parallel(row, tc_circuit::EvalOptions::default())
-                    .unwrap();
-            }
+            let ev = compiled
+                .evaluate_rows_arena::<1>(&refs, &mut arena)
+                .unwrap();
+            std::hint::black_box(ev.firing_counts());
         });
-    });
-    group.bench_function("batch64", |bench| {
-        bench.iter(|| compiled.evaluate_batch64(&batch).unwrap());
     });
     group.finish();
 }
 
 /// Times scalar-x64 versus one batched pass directly and prints the ratio.
 fn batch_speedup_report(_c: &mut Criterion) {
-    let (circuit, rows, batch) = workload();
+    let (circuit, rows) = workload();
+    let refs: Vec<&[bool]> = rows.iter().map(Vec::as_slice).collect();
+    let mut arena = PlaneArena::new();
     let compiled = circuit.compiled();
     let gates = circuit.circuit().num_gates();
 
@@ -108,7 +107,10 @@ fn batch_speedup_report(_c: &mut Criterion) {
         }
     });
     let batched = time(&mut || {
-        std::hint::black_box(compiled.evaluate_batch64(&batch).unwrap());
+        let ev = compiled
+            .evaluate_rows_arena::<1>(&refs, &mut arena)
+            .unwrap();
+        std::hint::black_box(ev.firing_counts());
     });
 
     let ge_scalar = 64.0 * gates as f64 / scalar;
@@ -116,7 +118,7 @@ fn batch_speedup_report(_c: &mut Criterion) {
     println!(
         "\nbatch_speedup_report: trace circuit with {gates} gates, 64 assignments\n\
            64x compiled scalar : {:>12.0} gate-evals/sec\n\
-           one batch64 pass    : {:>12.0} gate-evals/sec\n\
+           one arena64 pass    : {:>12.0} gate-evals/sec\n\
            speedup             : {:.2}x\n",
         ge_scalar,
         ge_batched,

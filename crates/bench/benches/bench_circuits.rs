@@ -1,12 +1,12 @@
 //! Criterion benches for the circuit substrate itself: builder throughput, statistics,
-//! validation, and sequential versus layer-parallel evaluation on the circuits the
-//! paper's constructions actually produce (experiments E7/E11 report their sizes).
+//! validation, and scalar versus single-lane arena-kernel evaluation on the circuits
+//! the paper's constructions actually produce (experiments E7/E11 report their sizes).
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fast_matmul::{random_matrix, BilinearAlgorithm};
-use tc_circuit::{CircuitBuilder, EvalOptions, Wire};
+use tc_circuit::{CircuitBuilder, PlaneArena, Wire};
 use tcmm_core::{matmul::MatmulCircuit, CircuitConfig};
 
 /// Raw builder throughput: a chain of simple gates.
@@ -53,7 +53,7 @@ fn bench_matmul_circuit_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sequential versus layer-parallel evaluation of a matmul circuit.
+/// Scalar versus one-row arena-kernel evaluation of a matmul circuit.
 fn bench_evaluation(c: &mut Criterion) {
     let mut group = c.benchmark_group("circuit_evaluation");
     let config = CircuitConfig::new(BilinearAlgorithm::strassen(), 3);
@@ -62,9 +62,6 @@ fn bench_evaluation(c: &mut Criterion) {
     let b = random_matrix(4, 3, 2);
     group.bench_function("matmul_n4_sequential", |bench| {
         bench.iter(|| mm.evaluate(&a, &b).unwrap());
-    });
-    group.bench_function("matmul_n4_parallel", |bench| {
-        bench.iter(|| mm.evaluate_parallel(&a, &b).unwrap());
     });
 
     // Raw Circuit::evaluate (compiles per call) vs the pre-compiled engine.
@@ -79,11 +76,13 @@ fn bench_evaluation(c: &mut Criterion) {
     group.bench_function("compiled_sequential", |bench| {
         bench.iter(|| compiled.evaluate(&bits).unwrap());
     });
-    group.bench_function("compiled_parallel", |bench| {
+    let mut arena = PlaneArena::new();
+    group.bench_function("compiled_arena_one_row", |bench| {
         bench.iter(|| {
-            compiled
-                .evaluate_parallel(&bits, EvalOptions::default())
-                .unwrap()
+            let ev = compiled
+                .evaluate_rows_arena::<1>(&[bits.as_slice()], &mut arena)
+                .unwrap();
+            std::hint::black_box(ev.evaluation(0).unwrap())
         });
     });
     group.finish();

@@ -415,7 +415,7 @@ fn runtime_report(_c: &mut Criterion) {
         measured: Vec::new(),
         json_backends: String::new(),
     };
-    let measure = |report: &mut Report, name: &str, batch: usize| -> f64 {
+    let measure = |report: &mut Report, name: &str, batch: usize| {
         let runtime = Runtime::builder().fixed_backend(name).workers(1).build();
         let secs = time(&mut || {
             std::hint::black_box(runtime.serve_batch(compiled, &rows[..batch]).unwrap());
@@ -429,7 +429,6 @@ fn runtime_report(_c: &mut Criterion) {
             "\n    {{\"backend\": \"{name}\", \"batch\": {batch}, \
              \"gate_evals_per_sec\": {geps:.0}, \"seconds\": {secs:.6}}}"
         ));
-        geps
     };
     for batch in [256usize, 1024] {
         for backend in ["scalar", "sliced64", "wide128", "wide256", "wide512"] {
@@ -443,23 +442,20 @@ fn runtime_report(_c: &mut Criterion) {
     }
 
     // The auto-tuned choice for a 256-request batch, and its measured margin
-    // over the fixed 64-lane path. Measure the tuned backend on demand if it
-    // is not already in the table (e.g. the probe picked layer_parallel).
+    // over the fixed 64-lane path. Every standard backend is in the table
+    // at batch 256, so the tuned one always is.
     let auto = Runtime::new();
     let tuned = auto.backend_for(compiled, 256).unwrap();
-    let lookup = |report: &Report, name: &str, batch: usize| {
+    let lookup = |name: &str| {
         report
             .measured
             .iter()
-            .find(|(b, n, _)| b == name && *n == batch)
+            .find(|(b, n, _)| b == name && *n == 256)
             .map(|(_, _, g)| *g)
+            .expect("every standard backend is measured at batch 256")
     };
-    let tuned_geps = match lookup(&report, tuned, 256) {
-        Some(geps) => geps,
-        None => measure(&mut report, tuned, 256),
-    };
-    let sliced_geps =
-        lookup(&report, "sliced64", 256).expect("sliced64 at batch 256 is always measured");
+    let tuned_geps = lookup(tuned);
+    let sliced_geps = lookup("sliced64");
     let speedup = tuned_geps / sliced_geps;
     println!(
         "\nruntime_report: trace circuit with {gates} gates\n\

@@ -6,6 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fast_matmul::BilinearAlgorithm;
+use tc_circuit::PlaneArena;
 use tc_graph::generators;
 use tcmm_core::{naive::NaiveTriangleCircuit, trace::TraceCircuit, CircuitConfig};
 
@@ -40,8 +41,17 @@ fn bench_trace_evaluate(c: &mut Criterion) {
     group.bench_function("theorem45_n16_d2_sequential", |bench| {
         bench.iter(|| subcubic.evaluate(&adjacency).unwrap());
     });
-    group.bench_function("theorem45_n16_d2_parallel", |bench| {
-        bench.iter(|| subcubic.evaluate_parallel(&adjacency).unwrap());
+    let mut bits = vec![false; subcubic.circuit().num_inputs()];
+    subcubic.input().assign(&adjacency, &mut bits).unwrap();
+    let mut arena = PlaneArena::new();
+    group.bench_function("theorem45_n16_d2_arena_one_row", |bench| {
+        bench.iter(|| {
+            let ev = subcubic
+                .compiled()
+                .evaluate_rows_arena::<1>(&[bits.as_slice()], &mut arena)
+                .unwrap();
+            ev.output(0, 0).unwrap()
+        });
     });
 
     let naive = NaiveTriangleCircuit::new(n, 5).unwrap();

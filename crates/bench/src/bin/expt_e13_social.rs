@@ -97,7 +97,7 @@ fn main() {
             let naive_answer = naive.evaluate(&adjacency).unwrap();
 
             let subcubic = TraceCircuit::theorem_4_5(&config, n_pad, 2, tau).unwrap();
-            let subcubic_answer = subcubic.evaluate_parallel(&adjacency).unwrap();
+            let subcubic_answer = subcubic.evaluate(&adjacency).unwrap();
 
             t.row([
                 name.clone(),

@@ -1,6 +1,6 @@
 //! A small calibration probe: reports the wall-clock cost and size of building and
 //! evaluating each circuit family at increasing problem sizes, so the experiment
-//! binaries and EXPERIMENTS.md can be sized to the host.
+//! binaries can be sized to the host.
 //!
 //! Run with `cargo run --release -p tcmm-bench --bin probe_build_costs`.
 

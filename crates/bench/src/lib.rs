@@ -5,10 +5,9 @@
 //! * the **Criterion benches** under `benches/` (construction and evaluation speed of
 //!   the arithmetic blocks, the circuit generators, the host-side fast multiplication
 //!   and the graph substrate);
-//! * the **experiment binaries** under `src/bin/` — one `expt_e*` binary per entry of
-//!   the per-experiment index in `DESIGN.md` §4.  Each binary regenerates the table or
-//!   series recorded in `EXPERIMENTS.md` for the corresponding figure, lemma or theorem
-//!   of the paper.
+//! * the **experiment binaries** under `src/bin/` — one `expt_e*` binary per
+//!   experiment.  Each binary prints the table or series for the corresponding figure,
+//!   lemma or theorem of the paper (the README lists the entry points).
 //!
 //! The library part of the crate only provides small presentation helpers shared by the
 //! experiment binaries: an aligned plain-text [`Table`] writer and a couple of workload
@@ -23,7 +22,7 @@ use tc_graph::{generators, Graph};
 /// A minimal aligned plain-text table writer used by every `expt_e*` binary.
 ///
 /// Columns are right-aligned except the first, which is left-aligned.  The output
-/// format is deliberately stable so EXPERIMENTS.md can quote it verbatim.
+/// format is deliberately stable so documentation can quote it verbatim.
 #[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,

@@ -1,5 +1,6 @@
-//! Reusable plane scratch for the batch kernels: allocation-free
-//! steady-state serving.
+//! Reusable plane scratch for the bit-sliced kernel, and its entry point
+//! [`CompiledCircuit::evaluate_rows_arena`]: allocation-free steady-state
+//! serving.
 //!
 //! Every batch pass needs a slot array (`[u64; W]` lane words per slot) and
 //! a bit-sliced firing counter. Allocating those per call costs megabytes of
@@ -254,5 +255,123 @@ impl ArenaEvaluation<'_> {
                 .map(|g| self.slot_bit(self.circuit.slot_of_gate(g), lane)),
         );
         self.outputs_into(lane, outputs)
+    }
+}
+
+/// The unit tests' differential check: evaluates `rows` (any count) through
+/// [`CompiledCircuit::evaluate_rows_arena`] at every width `W ∈ {1, 2, 4,
+/// 8}`, in `64·W`-lane groups sharing one arena per width, and asserts every
+/// lane matches the scalar oracle — full evaluation and firing count — and
+/// that no dead lane past a group's end is reachable.
+#[cfg(test)]
+pub(crate) fn assert_arena_matches_scalar<R: AsRef<[bool]>>(cc: &CompiledCircuit, rows: &[R]) {
+    fn at_width<const W: usize>(cc: &CompiledCircuit, rows: &[&[bool]]) {
+        let mut arena = PlaneArena::new();
+        for (g, group) in rows.chunks(64 * W).enumerate() {
+            let ev = cc.evaluate_rows_arena::<W>(group, &mut arena).unwrap();
+            assert_eq!(ev.lanes(), group.len());
+            assert!(ev.evaluation(group.len()).is_err(), "dead lanes leak");
+            for (lane, row) in group.iter().enumerate() {
+                let scalar = cc.evaluate(row).unwrap();
+                let at = (W, 64 * W * g + lane);
+                assert_eq!(ev.evaluation(lane).unwrap(), scalar, "(W, row) {at:?}");
+                let count = ev.firing_count(lane).unwrap() as usize;
+                assert_eq!(count, scalar.firing_count(), "(W, row) {at:?}");
+            }
+        }
+    }
+    let refs: Vec<&[bool]> = rows.iter().map(AsRef::as_ref).collect();
+    at_width::<1>(cc, &refs);
+    at_width::<2>(cc, &refs);
+    at_width::<4>(cc, &refs);
+    at_width::<8>(cc, &refs);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{CircuitBuilder, Wire};
+
+    fn adder_circuit() -> CompiledCircuit {
+        let mut b = CircuitBuilder::new(3);
+        let x = Wire::input(0);
+        let y = Wire::input(1);
+        let z = Wire::input(2);
+        let carry = b.add_gate([(x, 1), (y, 1), (z, 1)], 2).unwrap();
+        let sum = b
+            .add_gate([(x, 1), (y, 1), (z, 1), (carry, -2)], 1)
+            .unwrap();
+        let veto = b.add_gate([(Wire::One, 3), (sum, -3)], 3).unwrap();
+        b.mark_output(sum);
+        b.mark_output(carry);
+        b.mark_output(veto);
+        b.build().compile().unwrap()
+    }
+
+    fn exhaustive_rows(bits: usize) -> Vec<Vec<bool>> {
+        (0..1u32 << bits)
+            .map(|v| (0..bits).map(|b| (v >> b) & 1 == 1).collect())
+            .collect()
+    }
+
+    #[test]
+    fn wide_lanes_match_scalar_for_all_widths() {
+        let cc = adder_circuit();
+        // Exhaustive rows cycled to 130 lanes — a ragged count spanning
+        // three words of a 256-lane pass and a partial tail at every width.
+        let rows: Vec<Vec<bool>> = exhaustive_rows(3).into_iter().cycle().take(130).collect();
+        assert_arena_matches_scalar(&cc, &rows);
+    }
+
+    #[test]
+    fn empty_batches_are_representable() {
+        let cc = adder_circuit();
+        let mut arena = PlaneArena::new();
+        let ev = cc.evaluate_rows_arena::<2>(&[], &mut arena).unwrap();
+        assert_eq!(ev.lanes(), 0);
+        assert!(ev.firing_counts().is_empty());
+        assert!(matches!(
+            ev.output(0, 0),
+            Err(CircuitError::LaneOutOfRange { .. })
+        ));
+    }
+
+    #[test]
+    fn over_wide_batches_are_rejected() {
+        let cc = adder_circuit();
+        let mut arena = PlaneArena::new();
+        let rows: Vec<&[bool]> = vec![&[false; 3]; 129];
+        assert!(matches!(
+            cc.evaluate_rows_arena::<2>(&rows, &mut arena),
+            Err(CircuitError::BatchTooWide { rows: 129 })
+        ));
+        assert!(cc.evaluate_rows_arena::<4>(&rows, &mut arena).is_ok());
+    }
+
+    #[test]
+    fn mismatched_input_width_is_rejected() {
+        let cc = adder_circuit();
+        let mut arena = PlaneArena::new();
+        let rows: [&[bool]; 2] = [&[true, false, true], &[true, false]];
+        assert!(matches!(
+            cc.evaluate_rows_arena::<2>(&rows, &mut arena),
+            Err(CircuitError::InputLengthMismatch {
+                expected: 3,
+                actual: 2
+            })
+        ));
+    }
+
+    #[test]
+    fn extreme_weights_take_the_wide_fallback() {
+        let mut b = CircuitBuilder::new(2);
+        let g = b
+            .add_gate([(Wire::input(0), i64::MAX), (Wire::input(1), i64::MAX)], 1)
+            .unwrap();
+        let h = b.add_gate([(Wire::input(0), i64::MIN), (g, 1)], 0).unwrap();
+        b.mark_outputs([g, h]);
+        let cc = b.build().compile().unwrap();
+        let rows: Vec<Vec<bool>> = (0..100u32).map(|v| vec![v & 1 != 0, v & 2 != 0]).collect();
+        assert_arena_matches_scalar(&cc, &rows);
     }
 }

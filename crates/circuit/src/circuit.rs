@@ -1,7 +1,7 @@
 //! The immutable, topologically-ordered threshold circuit.
 
 use crate::compiled::CompiledCircuit;
-use crate::eval::{EvalOptions, Evaluation};
+use crate::eval::Evaluation;
 use crate::stats::CircuitStats;
 use crate::verify::VerifyReport;
 use crate::{CircuitError, Result, ThresholdGate, Wire};
@@ -139,18 +139,8 @@ impl Circuit {
         self.compile()?.evaluate(inputs)
     }
 
-    /// Evaluates the circuit with gates inside each depth layer processed in
-    /// parallel.  Produces exactly the same result as [`Circuit::evaluate`].
-    ///
-    /// This compiles on the fly; for repeated evaluation use
-    /// [`Circuit::compile`] and [`CompiledCircuit::evaluate_parallel`].
-    pub fn evaluate_parallel(&self, inputs: &[bool], opts: EvalOptions) -> Result<Evaluation> {
-        self.check_inputs(inputs)?;
-        self.compile()?.evaluate_parallel(inputs, opts)
-    }
-
     /// Groups gate indices by depth: element `d` holds the indices of all gates with
-    /// depth `d + 1`.  Used by the parallel evaluator and by the statistics module.
+    /// depth `d + 1`.  Used by the neuromorphic core mapper.
     pub fn layers(&self) -> Vec<Vec<usize>> {
         let depth = self.depth() as usize;
         let mut layers: Vec<Vec<usize>> = vec![Vec::new(); depth];
@@ -174,6 +164,7 @@ impl Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::assert_arena_matches_scalar;
     use crate::CircuitBuilder;
 
     /// Builds a full adder (sum and carry of three input bits) out of threshold gates.
@@ -243,15 +234,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_on_full_adder() {
-        let c = full_adder();
-        for bits in 0..8u32 {
-            let input = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0];
-            let seq = c.evaluate(&input).unwrap();
-            let par = c.evaluate_parallel(&input, EvalOptions::default()).unwrap();
-            assert_eq!(seq.outputs(), par.outputs());
-            assert_eq!(seq.gate_values(), par.gate_values());
-        }
+    fn arena_kernel_matches_sequential_on_full_adder() {
+        let rows: Vec<[bool; 3]> = (0..8u32)
+            .map(|bits| [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0])
+            .collect();
+        assert_arena_matches_scalar(&full_adder().compile().unwrap(), &rows);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The compiled execution engine: CSR-lowered circuits with scalar,
-//! layer-parallel, and bit-sliced batch evaluators.
+//! The compiled execution engine: CSR-lowered circuits with one scalar
+//! oracle and one bit-sliced batch kernel.
 //!
 //! [`Circuit`] is builder-friendly: every gate owns a `Vec<(Wire, i64)>`, so
 //! evaluating it chases pointers and re-resolves wires through an enum on
@@ -20,32 +20,32 @@
 //!   dominate the paper's constructions) are evaluated straight off the raw
 //!   CSR edges with their positive edges ordered first.
 //!
-//! All evaluators — scalar, layer-parallel, and the width-generic bit-sliced
-//! kernel behind [`CompiledCircuit::evaluate_batch64`] /
-//! [`CompiledCircuit::evaluate_batch_wide`] (see `kernel.rs`) — produce
-//! bit-identical [`Evaluation`]s (and firing counts) for the same inputs;
-//! the differential proptest suites in `tests/proptest_compiled.rs` and
-//! `tests/proptest_classes.rs` assert this gate-for-gate.
+//! The scalar oracle [`CompiledCircuit::evaluate`] and the width-generic
+//! bit-sliced kernel behind [`CompiledCircuit::evaluate_rows_arena`] (see
+//! `kernel.rs` and `arena.rs`) produce bit-identical [`Evaluation`]s (and
+//! firing counts) for the same inputs; the differential proptest suites in
+//! `tests/proptest_compiled.rs` and `tests/proptest_classes.rs` assert this
+//! gate-for-gate at every lane width.
 //!
 //! ## Compile once, evaluate many
 //!
 //! ```
-//! use tc_circuit::{Batch64, CircuitBuilder, Wire};
+//! use tc_circuit::{CircuitBuilder, PlaneArena, Wire};
 //!
 //! let mut b = CircuitBuilder::new(2);
 //! let g = b.add_gate([(Wire::input(0), 1), (Wire::input(1), 1)], 2).unwrap();
 //! b.mark_output(g);
 //! let compiled = b.build().compile().unwrap();
 //!
-//! // 4 assignments ride in one 64-lane batch.
-//! let rows = [[false, false], [false, true], [true, false], [true, true]];
-//! let batch = Batch64::pack(2, &rows).unwrap();
-//! let ev = compiled.evaluate_batch64(&batch).unwrap();
+//! // 4 assignments ride in one 64-lane pass.
+//! let rows: [&[bool]; 4] = [&[false, false], &[false, true], &[true, false], &[true, true]];
+//! let mut arena = PlaneArena::new();
+//! let ev = compiled.evaluate_rows_arena::<1>(&rows, &mut arena).unwrap();
 //! assert_eq!((0..4).map(|l| ev.output(l, 0).unwrap() as u32).sum::<u32>(), 1);
 //! ```
 
 use crate::canon;
-use crate::eval::{EvalOptions, Evaluation};
+use crate::eval::Evaluation;
 use crate::stats::CircuitStats;
 use crate::{Circuit, CircuitError, Result, Wire};
 
@@ -116,8 +116,8 @@ impl GateClass {
 }
 
 /// A [`Circuit`] lowered to flat CSR arrays with a precomputed layer
-/// schedule, hosting the scalar, layer-parallel and bit-sliced batch
-/// evaluators behind one API.
+/// schedule, hosting the scalar oracle and the bit-sliced batch kernel
+/// behind one API.
 ///
 /// Internally gates are renumbered so that each depth layer is a contiguous
 /// slot range and, inside a layer, gates of the same [`GateClass`] are
@@ -684,35 +684,18 @@ impl CompiledCircuit {
     #[inline]
     fn fire_scalar(&self, g: usize, vals: &[bool]) -> bool {
         debug_assert_eq!(vals.len(), self.len_slots());
-        // SAFETY: compilation guarantees every fan-in slot of gate `g` is
-        // below `len_slots()`, and `vals` spans exactly that many slots.
-        unsafe { self.fire_scalar_raw(g, vals.as_ptr()) }
-    }
-
-    /// Raw-pointer core of [`CompiledCircuit::fire_scalar`], shared with the
-    /// parallel evaluator (whose workers must not materialize a `&[bool]`
-    /// over memory that sibling threads are concurrently writing).
-    ///
-    /// # Safety
-    ///
-    /// `vals` must point to at least [`CompiledCircuit::len_slots`] initialised
-    /// `bool`s, and no other thread may concurrently write any slot that gate
-    /// `g` reads (its fan-in slots, which compilation bounds to earlier
-    /// layers).
-    #[inline]
-    // SAFETY: `unsafe fn` per the contract above; every dereference below
-    // restates its own in-bounds argument.
-    unsafe fn fire_scalar_raw(&self, g: usize, vals: *const bool) -> bool {
         let lo = self.offsets[g] as usize;
         let hi = self.offsets[g + 1] as usize;
         if self.narrow[g] {
             let mut acc: i64 = 0;
             for e in lo..hi {
+                // SAFETY: `CompiledCircuit::new` rejects dangling fan-in
+                // wires and emits only slots below `len_slots()`, and
+                // `evaluate` sizes `vals` to exactly `len_slots()`.
+                let bit = unsafe { *vals.get_unchecked(self.wires[e] as usize) };
                 // Branchless: mask the weight by the input bit.
-                // SAFETY: `wires[e] < len_slots()` by compilation, and the
-                // caller promises `vals` spans `len_slots()` slots.
                 // lint:allow(narrowing-cast): a bool is exactly 0 or 1
-                acc += self.weights[e] & -(unsafe { *vals.add(self.wires[e] as usize) } as i64);
+                acc += self.weights[e] & -(bit as i64);
             }
             acc >= self.thresholds[g]
         } else {
@@ -720,7 +703,7 @@ impl CompiledCircuit {
             for e in lo..hi {
                 // SAFETY: same bound as the narrow arm — `wires[e]` is below
                 // `len_slots()` and `vals` covers that range.
-                if unsafe { *vals.add(self.wires[e] as usize) } {
+                if unsafe { *vals.get_unchecked(self.wires[e] as usize) } {
                     acc += self.weights[e] as i128;
                 }
             }
@@ -754,122 +737,9 @@ impl CompiledCircuit {
         Ok(self.finish(vals))
     }
 
-    /// Evaluates the circuit layer by layer, splitting large layers across
-    /// OS threads (`std::thread::scope`). Produces exactly the same result
-    /// as [`CompiledCircuit::evaluate`].
-    pub fn evaluate_parallel(&self, inputs: &[bool], opts: EvalOptions) -> Result<Evaluation> {
-        self.check_inputs(inputs)?;
-        let mut vals = vec![false; 1 + self.num_inputs + self.num_gates()];
-        vals[0] = true;
-        vals[1..=self.num_inputs].copy_from_slice(inputs);
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        for &(lo, hi) in &self.layer_ranges {
-            // Internal numbering is depth-major, so layer `d` is exactly the
-            // contiguous internal gate range `lo..hi` (cache-local writes).
-            let (lo, hi) = (lo as usize, hi as usize);
-            let len = hi - lo;
-            if threads < 2 || len < opts.parallel_threshold.max(2) {
-                for g in lo..hi {
-                    vals[1 + self.num_inputs + g] = self.fire_scalar(g, &vals);
-                }
-            } else {
-                // Gates within one depth layer never reference each other, so
-                // each thread reads only slots settled in earlier layers and
-                // writes a slot no other thread touches. All access goes
-                // through raw pointers — materializing a `&[bool]` over the
-                // buffer while siblings write disjoint slots would still be
-                // undefined behaviour.
-                let cell = SharedVals(vals.as_mut_ptr());
-                let chunk = len.div_ceil(threads);
-                std::thread::scope(|scope| {
-                    let mut start = lo;
-                    while start < hi {
-                        let end = (start + chunk).min(hi);
-                        let cell = &cell;
-                        scope.spawn(move || {
-                            for g in start..end {
-                                // SAFETY: gate `g` reads only earlier-layer
-                                // slots (no concurrent writers) and writes its
-                                // own slot, unique within this layer.
-                                unsafe {
-                                    let fired = self.fire_scalar_raw(g, cell.0);
-                                    *cell.0.add(1 + self.num_inputs + g) = fired;
-                                }
-                            }
-                        });
-                        start = end;
-                    }
-                });
-            }
-        }
-        Ok(self.finish(vals))
-    }
-
     #[inline]
     pub(crate) fn len_slots(&self) -> usize {
         1 + self.num_inputs + self.num_gates()
-    }
-
-    /// Evaluates up to 64 independent input assignments in one pass of the
-    /// unified width-generic kernel (`W = 1`; see `kernel.rs`).
-    ///
-    /// Gate values are carried as `u64` lane masks (bit `l` = assignment `l`)
-    /// and each gate's weighted sums are accumulated for all lanes at once
-    /// with carry-save plane arithmetic, dispatched per [`GateClass`]
-    /// segment. Lane `l` of the result is bit-identical to
-    /// `evaluate(&rows[l])` — values and firing counts.
-    pub fn evaluate_batch64(&self, batch: &Batch64) -> Result<BatchEvaluation> {
-        if batch.num_inputs != self.num_inputs {
-            return Err(CircuitError::InputLengthMismatch {
-                expected: self.num_inputs,
-                actual: batch.num_inputs,
-            });
-        }
-        let lanes = batch.lanes as usize;
-        let lane_mask = if lanes == BATCH_LANES {
-            !0u64
-        } else {
-            (1u64 << lanes) - 1
-        };
-        let mut vals = vec![[0u64; 1]; self.len_slots()];
-        vals[0] = [!0u64];
-        for (v, &m) in vals[1..=self.num_inputs].iter_mut().zip(&batch.masks) {
-            *v = [m];
-        }
-        let mut firing = [[0u64; 1]; FIRING_PLANES];
-        self.run_planes::<1>(&mut vals, &mut firing, lanes);
-
-        // The slot array is internal-order; expose original gate order.
-        // Lanes beyond the batch width carry whatever the kernel computed
-        // for them; mask them off so the exposed masks are consistent.
-        let gate_masks = self
-            .perm
-            .iter()
-            .map(|&i| vals[1 + self.num_inputs + i as usize][0] & lane_mask)
-            .collect();
-        let mut firing_counts = [0u32; BATCH_LANES];
-        for (k, &[plane]) in firing.iter().enumerate() {
-            let mut m = plane;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                firing_counts[l] += 1 << k;
-                m &= m - 1;
-            }
-        }
-
-        let output_masks = self
-            .outputs
-            .iter()
-            .map(|&s| vals[s as usize][0] & lane_mask)
-            .collect();
-        Ok(BatchEvaluation {
-            lanes: batch.lanes,
-            gate_masks,
-            output_masks,
-            firing_counts,
-        })
     }
 
     /// Evaluates any number of independent input assignments, riding the
@@ -881,9 +751,9 @@ impl CompiledCircuit {
     /// addresses results by request index. Request `i`'s outputs and firing
     /// count are bit-identical to `evaluate(&rows[i])`. All per-gate state
     /// lives in one [`crate::PlaneArena`] reused across lane groups — the
-    /// input masks are packed straight into the arena once per group (not
-    /// repacked through an intermediate [`Batch64`]), so the whole call
-    /// performs a constant number of allocations regardless of batch size.
+    /// input masks are packed straight into the arena once per group — so
+    /// the whole call performs a constant number of allocations regardless
+    /// of batch size.
     pub fn evaluate_many<R: AsRef<[bool]>>(&self, rows: &[R]) -> Result<ManyEvaluation> {
         let num_outputs = self.outputs.len();
         let mut output_masks = Vec::with_capacity(rows.len().div_ceil(BATCH_LANES) * num_outputs);
@@ -905,170 +775,6 @@ impl CompiledCircuit {
             output_masks,
             firing_counts,
         })
-    }
-}
-
-/// Raw-pointer cell sharing the flat value array across a layer's threads.
-struct SharedVals(*mut bool);
-// SAFETY: threads write pairwise-disjoint slots of the array (each gate id
-// appears exactly once in a layer schedule) and only read slots written
-// before the scope began.
-unsafe impl Send for SharedVals {}
-// SAFETY: same disjoint-writes argument as `Send` above — concurrent `&self`
-// access never races because no two threads touch the same slot.
-unsafe impl Sync for SharedVals {}
-
-/// Up to 64 input assignments packed column-wise: one `u64` lane mask per
-/// primary input, bit `l` carrying assignment `l`'s value.
-#[derive(Debug, Clone)]
-pub struct Batch64 {
-    num_inputs: usize,
-    lanes: u32,
-    masks: Vec<u64>,
-}
-
-impl Batch64 {
-    /// Packs up to [`BATCH_LANES`] assignments (each of `num_inputs` bits).
-    ///
-    /// # Errors
-    ///
-    /// * [`CircuitError::BatchTooWide`] for more than 64 assignments;
-    /// * [`CircuitError::InputLengthMismatch`] if any row has the wrong
-    ///   length (also reported for an empty batch).
-    pub fn pack<R: AsRef<[bool]>>(num_inputs: usize, rows: &[R]) -> Result<Self> {
-        if rows.len() > BATCH_LANES {
-            return Err(CircuitError::BatchTooWide { rows: rows.len() });
-        }
-        if rows.is_empty() {
-            return Err(CircuitError::InputLengthMismatch {
-                expected: num_inputs,
-                actual: 0,
-            });
-        }
-        let mut masks = vec![0u64; num_inputs];
-        for (lane, row) in rows.iter().enumerate() {
-            let row = row.as_ref();
-            if row.len() != num_inputs {
-                return Err(CircuitError::InputLengthMismatch {
-                    expected: num_inputs,
-                    actual: row.len(),
-                });
-            }
-            for (i, &bit) in row.iter().enumerate() {
-                // lint:allow(narrowing-cast): a bool is exactly 0 or 1
-                masks[i] |= (bit as u64) << lane;
-            }
-        }
-        Ok(Batch64 {
-            num_inputs,
-            // lint:allow(narrowing-cast): guarded above by BATCH_LANES = 64
-            lanes: rows.len() as u32,
-            masks,
-        })
-    }
-
-    /// Number of packed assignments (1..=64).
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        self.lanes as usize
-    }
-
-    /// Number of primary inputs per assignment.
-    #[inline]
-    pub fn num_inputs(&self) -> usize {
-        self.num_inputs
-    }
-}
-
-/// The result of a 64-lane batch evaluation: per-gate and per-output lane
-/// masks plus per-lane firing counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchEvaluation {
-    lanes: u32,
-    gate_masks: Vec<u64>,
-    output_masks: Vec<u64>,
-    firing_counts: [u32; BATCH_LANES],
-}
-
-impl BatchEvaluation {
-    /// Number of valid lanes (the batch's assignment count).
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        self.lanes as usize
-    }
-
-    fn check_lane(&self, lane: usize) -> Result<()> {
-        if lane >= self.lanes as usize {
-            return Err(CircuitError::LaneOutOfRange {
-                lane,
-                lanes: self.lanes as usize,
-            });
-        }
-        Ok(())
-    }
-
-    /// The value of output `i` for assignment `lane`.
-    pub fn output(&self, lane: usize, i: usize) -> Result<bool> {
-        self.check_lane(lane)?;
-        let mask = self
-            .output_masks
-            .get(i)
-            .ok_or(CircuitError::OutputIndexOutOfRange {
-                index: i,
-                len: self.output_masks.len(),
-            })?;
-        Ok((mask >> lane) & 1 == 1)
-    }
-
-    /// All designated output values for assignment `lane`.
-    pub fn outputs(&self, lane: usize) -> Result<Vec<bool>> {
-        self.check_lane(lane)?;
-        Ok(self
-            .output_masks
-            .iter()
-            .map(|m| (m >> lane) & 1 == 1)
-            .collect())
-    }
-
-    /// Every gate's value for assignment `lane`, in gate order.
-    pub fn gate_values(&self, lane: usize) -> Result<Vec<bool>> {
-        self.check_lane(lane)?;
-        Ok(self
-            .gate_masks
-            .iter()
-            .map(|m| (m >> lane) & 1 == 1)
-            .collect())
-    }
-
-    /// Number of gates that fired for assignment `lane` (the evaluation's
-    /// *energy* in the Uchizawa–Douglas–Maass model).
-    pub fn firing_count(&self, lane: usize) -> Result<u32> {
-        self.check_lane(lane)?;
-        Ok(self.firing_counts[lane])
-    }
-
-    /// Per-gate lane masks (bit `l` of entry `g` = gate `g`'s value for
-    /// assignment `l`).  Bits of lanes beyond [`BatchEvaluation::lanes`] are
-    /// always zero.
-    #[inline]
-    pub fn gate_masks(&self) -> &[u64] {
-        &self.gate_masks
-    }
-
-    /// Per-output lane masks.  Bits of lanes beyond
-    /// [`BatchEvaluation::lanes`] are always zero.
-    #[inline]
-    pub fn output_masks(&self) -> &[u64] {
-        &self.output_masks
-    }
-
-    /// Expands one lane into a full [`Evaluation`], identical to what the
-    /// scalar evaluator returns for that assignment.
-    pub fn evaluation(&self, lane: usize) -> Result<Evaluation> {
-        Ok(Evaluation::from_parts(
-            self.gate_values(lane)?,
-            self.outputs(lane)?,
-        ))
     }
 }
 
@@ -1148,7 +854,8 @@ impl ManyEvaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CircuitBuilder;
+    use crate::arena::assert_arena_matches_scalar;
+    use crate::{CircuitBuilder, PlaneArena};
 
     fn mixed_circuit() -> Circuit {
         let mut b = CircuitBuilder::new(3);
@@ -1182,32 +889,12 @@ mod tests {
     }
 
     #[test]
-    fn scalar_parallel_and_batch_agree_exhaustively() {
-        let c = mixed_circuit();
-        let cc = c.compile().unwrap();
+    fn scalar_and_arena_agree_exhaustively() {
+        let cc = mixed_circuit().compile().unwrap();
         let rows: Vec<[bool; 3]> = (0..8u32)
             .map(|bits| [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0])
             .collect();
-        let batch = Batch64::pack(3, &rows).unwrap();
-        let bev = cc.evaluate_batch64(&batch).unwrap();
-        for (lane, row) in rows.iter().enumerate() {
-            let scalar = cc.evaluate(row).unwrap();
-            let par = cc
-                .evaluate_parallel(
-                    row,
-                    EvalOptions {
-                        parallel_threshold: 1,
-                    },
-                )
-                .unwrap();
-            assert_eq!(scalar, par, "lane {lane}");
-            assert_eq!(scalar, bev.evaluation(lane).unwrap(), "lane {lane}");
-            assert_eq!(
-                scalar.firing_count(),
-                bev.firing_count(lane).unwrap() as usize,
-                "lane {lane}"
-            );
-        }
+        assert_arena_matches_scalar(&cc, &rows);
     }
 
     #[test]
@@ -1230,12 +917,7 @@ mod tests {
         // the plane budget just like binary: the gate stays wide, unrecoded.
         assert_eq!(cc.canonicalized_gates(), 0);
         let rows = [[false, false], [false, true], [true, false], [true, true]];
-        let batch = Batch64::pack(2, &rows).unwrap();
-        let bev = cc.evaluate_batch64(&batch).unwrap();
-        for (lane, row) in rows.iter().enumerate() {
-            let scalar = cc.evaluate(row).unwrap();
-            assert_eq!(scalar, bev.evaluation(lane).unwrap(), "lane {lane}");
-        }
+        assert_arena_matches_scalar(&cc, &rows);
     }
 
     #[test]
@@ -1266,54 +948,47 @@ mod tests {
         // to two signed digits (8 - 1) instead of three (4 total).
         assert_eq!(cc.num_bit_edges(), 2 + 4);
         let rows = [[false, false], [false, true], [true, false], [true, true]];
-        let batch = Batch64::pack(2, &rows).unwrap();
-        let bev = cc.evaluate_batch64(&batch).unwrap();
-        for (lane, row) in rows.iter().enumerate() {
-            let direct = c.evaluate(row).unwrap();
-            assert_eq!(direct, bev.evaluation(lane).unwrap(), "lane {lane}");
-            assert_eq!(direct, cc.evaluate(row).unwrap(), "lane {lane}");
-            assert_eq!(
-                direct.firing_count(),
-                bev.firing_count(lane).unwrap() as usize,
-                "lane {lane}"
-            );
+        for row in &rows {
+            assert_eq!(c.evaluate(row).unwrap(), cc.evaluate(row).unwrap());
         }
+        assert_arena_matches_scalar(&cc, &rows);
     }
 
     #[test]
-    fn batch_rejects_bad_shapes() {
-        let c = mixed_circuit();
-        let cc = c.compile().unwrap();
-        let too_many: Vec<[bool; 3]> = (0..65).map(|_| [false; 3]).collect();
+    fn arena_rejects_bad_shapes() {
+        let cc = mixed_circuit().compile().unwrap();
+        let mut arena = PlaneArena::new();
+        let too_many: Vec<&[bool]> = vec![&[false; 3]; 65];
         assert!(matches!(
-            Batch64::pack(3, &too_many),
+            cc.evaluate_rows_arena::<1>(&too_many, &mut arena),
             Err(CircuitError::BatchTooWide { rows: 65 })
         ));
-        let wrong_width = Batch64::pack(2, &[[false, true]]).unwrap();
+        let wrong_width: [&[bool]; 1] = [&[false, true]];
         assert!(matches!(
-            cc.evaluate_batch64(&wrong_width),
+            cc.evaluate_rows_arena::<1>(&wrong_width, &mut arena),
             Err(CircuitError::InputLengthMismatch {
                 expected: 3,
                 actual: 2
             })
         ));
-        let empty: &[[bool; 3]] = &[];
-        assert!(Batch64::pack(3, empty).is_err());
+        let empty = cc.evaluate_rows_arena::<1>(&[], &mut arena).unwrap();
+        assert_eq!(empty.lanes(), 0);
+        assert!(empty.firing_counts().is_empty());
     }
 
     #[test]
     fn lane_accessors_are_bounds_checked() {
-        let c = mixed_circuit();
-        let cc = c.compile().unwrap();
-        let batch = Batch64::pack(3, &[[true, false, true]]).unwrap();
-        let bev = cc.evaluate_batch64(&batch).unwrap();
-        assert!(bev.output(0, 0).is_ok());
+        let cc = mixed_circuit().compile().unwrap();
+        let mut arena = PlaneArena::new();
+        let rows: [&[bool]; 1] = [&[true, false, true]];
+        let ev = cc.evaluate_rows_arena::<1>(&rows, &mut arena).unwrap();
+        assert!(ev.output(0, 0).is_ok());
         assert!(matches!(
-            bev.output(1, 0),
+            ev.output(1, 0),
             Err(CircuitError::LaneOutOfRange { lane: 1, lanes: 1 })
         ));
         assert!(matches!(
-            bev.output(0, 99),
+            ev.output(0, 99),
             Err(CircuitError::OutputIndexOutOfRange { index: 99, .. })
         ));
     }
@@ -1346,15 +1021,6 @@ mod tests {
         let negate = b.add_gate([(Wire::One, -4), (always, 2)], -2).unwrap();
         b.mark_outputs([always, negate]);
         let cc = b.build().compile().unwrap();
-        let rows = [[false], [true]];
-        let batch = Batch64::pack(1, &rows).unwrap();
-        let bev = cc.evaluate_batch64(&batch).unwrap();
-        for (lane, row) in rows.iter().enumerate() {
-            assert_eq!(
-                cc.evaluate(row).unwrap(),
-                bev.evaluation(lane).unwrap(),
-                "lane {lane}"
-            );
-        }
+        assert_arena_matches_scalar(&cc, &[[false], [true]]);
     }
 }

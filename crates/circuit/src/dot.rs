@@ -61,8 +61,8 @@ impl CompiledCircuit {
     ///
     /// Where [`Circuit::to_dot`] draws the pre-compile gate list, this
     /// renderer shows what the execution engine actually runs: slot-encoded
-    /// fan-ins, per-gate thresholds, and the depth layers the parallel and
-    /// bit-sliced evaluators sweep in order.
+    /// fan-ins, per-gate thresholds, and the depth layers the bit-sliced
+    /// kernel sweeps in order.
     pub fn to_dot(&self, name: &str) -> String {
         let num_inputs = self.num_inputs();
         let slot_node = |slot: usize| -> String {
@@ -90,7 +90,7 @@ impl CompiledCircuit {
             let _ = writeln!(out, "  one [shape=box, label=\"1\"];");
         }
         // One cluster per depth layer of the schedule: these are the gates
-        // the layer-parallel evaluator settles in a single sweep.
+        // whose fan-ins are all settled once the previous layer is.
         for d in 0..self.depth() as usize {
             let _ = writeln!(out, "  subgraph cluster_layer{d} {{");
             let _ = writeln!(out, "    label=\"layer {}\";", d + 1);

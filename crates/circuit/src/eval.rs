@@ -1,30 +1,14 @@
-//! Evaluation results and options.
+//! Evaluation results.
 //!
-//! The evaluators themselves live in [`crate::compiled`]: every evaluation —
-//! scalar, layer-parallel, or 64-lane batch — runs off the CSR form produced
-//! by [`Circuit::compile`](crate::Circuit::compile). The convenience methods
-//! [`Circuit::evaluate`](crate::Circuit::evaluate) and
-//! [`Circuit::evaluate_parallel`](crate::Circuit::evaluate_parallel) compile
-//! on the fly; callers that evaluate the same circuit repeatedly should
-//! compile once and reuse the [`CompiledCircuit`](crate::CompiledCircuit).
+//! The evaluators themselves live in [`crate::compiled`] and `arena.rs`:
+//! the scalar oracle and the bit-sliced arena kernel both run off the CSR
+//! form produced by [`Circuit::compile`](crate::Circuit::compile). The
+//! convenience method [`Circuit::evaluate`](crate::Circuit::evaluate)
+//! compiles on the fly; callers that evaluate the same circuit repeatedly
+//! should compile once and reuse the
+//! [`CompiledCircuit`](crate::CompiledCircuit).
 
 use crate::{CircuitError, Result};
-
-/// Options controlling parallel evaluation.
-#[derive(Debug, Clone, Copy)]
-pub struct EvalOptions {
-    /// Layers with fewer gates than this are evaluated sequentially to avoid
-    /// paying thread-spawn overhead on tiny layers.
-    pub parallel_threshold: usize,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            parallel_threshold: 1024,
-        }
-    }
-}
 
 /// The result of evaluating a circuit on a concrete input assignment.
 ///
@@ -91,10 +75,10 @@ impl Evaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::assert_arena_matches_scalar;
     use crate::{Circuit, CircuitBuilder, Wire};
 
-    /// Builds a chain of alternating AND/OR gates with one extra "wide" layer to
-    /// exercise both code paths of the parallel evaluator.
+    /// Builds a layer of pairwise OR gates feeding one majority gate.
     fn build_mixed_circuit(width: usize) -> Circuit {
         let mut b = CircuitBuilder::new(width);
         let mut layer1 = Vec::new();
@@ -116,30 +100,24 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_agree_on_random_inputs() {
+    fn scalar_and_arena_agree_on_random_inputs() {
         let width = 40;
         let c = build_mixed_circuit(width);
         // Deterministic pseudo-random inputs (xorshift) — no rand dependency needed.
         let mut state: u64 = 0x2545F4914F6CDD1D;
-        for _ in 0..50 {
-            let mut inputs = Vec::with_capacity(width);
-            for _ in 0..width {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                inputs.push(state & 1 == 1);
-            }
-            let seq = c.evaluate(&inputs).unwrap();
-            let par = c
-                .evaluate_parallel(
-                    &inputs,
-                    EvalOptions {
-                        parallel_threshold: 1,
-                    },
-                )
-                .unwrap();
-            assert_eq!(seq, par);
-        }
+        let rows: Vec<Vec<bool>> = (0..50)
+            .map(|_| {
+                (0..width)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state & 1 == 1
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_arena_matches_scalar(&c.compile().unwrap(), &rows);
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! The unified width-generic bit-sliced kernel.
 //!
-//! One carry-save plane kernel serves every lane width: `W = 1` is the
-//! classic 64-lane path behind [`CompiledCircuit::evaluate_batch64`], and
-//! `W ∈ {2, 4, 8}` are the 128/256/512-lane wide paths behind
-//! [`CompiledCircuit::evaluate_batch_wide`] (the duplicated per-width
-//! implementations this module replaced lived in `compiled.rs` and
-//! `wide.rs`). Every word-column of a plane is an independent instance of
-//! the 64-lane kernel — carries never propagate between words — so lane `l`
-//! of any width is bit-identical to the scalar evaluator on assignment `l`.
+//! One carry-save plane kernel serves every lane width behind
+//! [`CompiledCircuit::evaluate_rows_arena`]: `W = 1` is the 64-lane path and
+//! `W ∈ {2, 4, 8}` are the 128/256/512-lane wide paths. Every word-column of
+//! a plane is an independent instance of the 64-lane kernel — carries never
+//! propagate between words — so lane `l` of any width is bit-identical to
+//! the scalar evaluator on assignment `l`.
 //!
 //! The kernel body ([`CompiledCircuit::run_planes_core`]) is generic over a
 //! [`WordVec`]: the `W` word-columns of one plane are the lanes of one

@@ -33,15 +33,15 @@
 //!
 //! Evaluation runs on the compiled execution engine: [`Circuit::compile`]
 //! lowers the builder-friendly gate list into flat CSR arrays once, and the
-//! resulting [`CompiledCircuit`] hosts three evaluators behind one API —
-//! sequential ([`CompiledCircuit::evaluate`]), layer-parallel
-//! ([`CompiledCircuit::evaluate_parallel`], OS threads over each depth
-//! layer), and the bit-sliced [`CompiledCircuit::evaluate_batch64`], which
-//! processes up to 64 independent input assignments per pass using `u64`
-//! lanes.  All three produce identical results (evaluation of a threshold
-//! circuit is deterministic); [`Circuit::evaluate`] and
-//! [`Circuit::evaluate_parallel`] remain as convenience wrappers that
-//! compile on the fly.
+//! resulting [`CompiledCircuit`] hosts two evaluators behind one API — the
+//! sequential scalar oracle ([`CompiledCircuit::evaluate`]) and the
+//! bit-sliced kernel ([`CompiledCircuit::evaluate_rows_arena`]), which
+//! evaluates up to `64·W` independent input assignments per pass in a
+//! reusable [`PlaneArena`] (`W ∈ {1, 2, 4, 8}` lane words).  Both produce
+//! identical results (evaluation of a threshold circuit is deterministic);
+//! [`CompiledCircuit::evaluate_many`] loops the kernel over any batch size,
+//! and [`Circuit::evaluate`] remains as a convenience wrapper that compiles
+//! on the fly.
 //!
 //! ```
 //! use tc_circuit::{CircuitBuilder, Wire};
@@ -76,25 +76,21 @@ mod kernel;
 pub mod simd;
 mod stats;
 pub mod verify;
-mod wide;
 mod wire;
 
 pub use arena::{ArenaEvaluation, PlaneArena};
 pub use builder::{CircuitBuilder, DedupPolicy};
 pub use canon::{canonical_gate, CANON_VERSION};
 pub use circuit::Circuit;
-pub use compiled::{
-    Batch64, BatchEvaluation, CompiledCircuit, GateClass, ManyEvaluation, BATCH_LANES,
-};
+pub use compiled::{CompiledCircuit, GateClass, ManyEvaluation, BATCH_LANES};
 pub use error::CircuitError;
-pub use eval::{EvalOptions, Evaluation};
+pub use eval::Evaluation;
 pub use gate::ThresholdGate;
 pub use stats::{CircuitStats, LayerStats};
 pub use verify::{
     verify_against, verify_compiled, Bound, Finding, FindingKind, PaperBound, Severity,
     VerifyReport,
 };
-pub use wide::{Batch128, Batch256, Batch512, BatchWide, WideEvaluation};
 pub use wire::Wire;
 
 /// Result alias used throughout the crate.

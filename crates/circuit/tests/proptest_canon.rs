@@ -1,12 +1,16 @@
 //! Differential property tests for the canonicalization pass: a compiled
 //! circuit — whose gates may have been GCD-factored and CSD-recoded — must
 //! match an *independent* gate-list oracle gate-for-gate on outputs AND
-//! observable firing counts, across every evaluator. The oracle walks the
+//! observable firing counts, across the scalar evaluator, the arena kernel
+//! at every lane width, and `evaluate_many`. The oracle walks the
 //! raw builder gates with `i128` arithmetic and never touches the compiled
 //! engine, so a canonicalization bug cannot cancel itself out.
 
+mod common;
+
+use common::{assert_arena_matches_scalar, build_circuit, gate_spec, random_rows};
 use proptest::prelude::*;
-use tc_circuit::{Batch512, Batch64, Circuit, CircuitBuilder, CompiledCircuit, PlaneArena, Wire};
+use tc_circuit::{Circuit, CircuitBuilder, CompiledCircuit, Wire};
 
 /// Independent reference evaluation of the RAW gate list: returns per-gate
 /// values (original ids), designated outputs, and the firing count.
@@ -39,21 +43,14 @@ fn oracle(circuit: &Circuit, row: &[bool]) -> (Vec<bool>, Vec<bool>, usize) {
     (vals, outputs, firing)
 }
 
-/// Asserts every evaluator agrees with the raw-gate-list oracle on `rows`.
+/// Asserts every evaluator agrees with the raw-gate-list oracle on `rows`:
+/// the scalar evaluator and `evaluate_many` directly, and — through the
+/// scalar evaluator — the arena kernel at every lane width.
 fn assert_matches_oracle(
     circuit: &Circuit,
     compiled: &CompiledCircuit,
     rows: &[Vec<bool>],
 ) -> Result<(), String> {
-    let batch = Batch64::pack(compiled.num_inputs(), &rows[..rows.len().min(64)]).unwrap();
-    let bev = compiled.evaluate_batch64(&batch).unwrap();
-    let wide = Batch512::pack(compiled.num_inputs(), rows).unwrap();
-    let wev = compiled.evaluate_batch_wide(&wide).unwrap();
-    let refs: Vec<&[bool]> = rows.iter().map(|r| r.as_slice()).collect();
-    let mut arena = PlaneArena::new();
-    let aev = compiled
-        .evaluate_rows_arena::<2>(&refs, &mut arena)
-        .unwrap();
     let mev = compiled.evaluate_many(rows).unwrap();
     for (lane, row) in rows.iter().enumerate() {
         let (gates, outputs, firing) = oracle(circuit, row);
@@ -76,38 +73,6 @@ fn assert_matches_oracle(
             "scalar firing, lane {}",
             lane
         );
-        if lane < 64 {
-            prop_assert_eq!(
-                &bev.evaluation(lane).unwrap(),
-                &scalar,
-                "batch64 lane {}",
-                lane
-            );
-            prop_assert_eq!(
-                bev.firing_count(lane).unwrap() as usize,
-                firing,
-                "batch64 firing, lane {}",
-                lane
-            );
-        }
-        prop_assert_eq!(
-            &wev.evaluation(lane).unwrap(),
-            &scalar,
-            "wide512 lane {}",
-            lane
-        );
-        prop_assert_eq!(
-            &aev.evaluation(lane).unwrap(),
-            &scalar,
-            "arena lane {}",
-            lane
-        );
-        prop_assert_eq!(
-            aev.firing_count(lane).unwrap() as usize,
-            firing,
-            "arena firing, lane {}",
-            lane
-        );
         prop_assert_eq!(mev.outputs(lane).unwrap(), outputs, "many lane {}", lane);
         prop_assert_eq!(
             mev.firing_count(lane).unwrap() as usize,
@@ -116,67 +81,7 @@ fn assert_matches_oracle(
             lane
         );
     }
-    Ok(())
-}
-
-/// One gate: fan-in as (wire ordinal, weight selector), plus a threshold.
-type GateSpec = (Vec<(usize, i64)>, i64);
-
-fn build_circuit(num_inputs: usize, spec: &[GateSpec], weight_of: impl Fn(i64) -> i64) -> Circuit {
-    let mut b = CircuitBuilder::new(num_inputs);
-    for (gate_idx, (fan_in, threshold)) in spec.iter().enumerate() {
-        let mut resolved = Vec::new();
-        let mut used = std::collections::HashSet::new();
-        for &(ordinal, selector) in fan_in {
-            let pool = 1 + num_inputs + gate_idx;
-            let o = ordinal % pool;
-            let wire = if o == 0 {
-                Wire::One
-            } else if o <= num_inputs {
-                Wire::input(o - 1)
-            } else {
-                Wire::gate(o - 1 - num_inputs)
-            };
-            if used.insert(wire) {
-                resolved.push((wire, weight_of(selector)));
-            }
-        }
-        if resolved.is_empty() {
-            resolved.push((Wire::One, weight_of(1)));
-        }
-        let w = b.add_gate(resolved, *threshold).unwrap();
-        b.mark_output(w);
-    }
-    b.build()
-}
-
-fn gate_spec() -> impl Strategy<Value = (usize, Vec<GateSpec>)> {
-    (
-        1usize..7,
-        prop::collection::vec(
-            (
-                prop::collection::vec((0usize..96, -40i64..41), 1..7),
-                -30i64..31,
-            ),
-            1..40,
-        ),
-    )
-}
-
-fn random_rows(num_inputs: usize, rows: usize, mut state: u64) -> Vec<Vec<bool>> {
-    state |= 1;
-    (0..rows)
-        .map(|_| {
-            (0..num_inputs)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    state & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
+    assert_arena_matches_scalar(compiled, rows)
 }
 
 proptest! {
@@ -188,7 +93,7 @@ proptest! {
     /// rounding). Every evaluator must match the raw-gate oracle.
     #[test]
     fn canonicalized_circuits_match_the_raw_oracle(
-        (num_inputs, spec) in gate_spec(),
+        (num_inputs, spec) in gate_spec(-30i64..31),
         scale in 1i64..13,
         seed in any::<u64>(),
         width in 1usize..129,
@@ -216,7 +121,7 @@ proptest! {
     /// signed-digit recoding must stay output- and energy-equivalent.
     #[test]
     fn csd_recoding_matches_the_raw_oracle(
-        (num_inputs, spec) in gate_spec(),
+        (num_inputs, spec) in gate_spec(-30i64..31),
         seed in any::<u64>(),
         width in 1usize..129,
     ) {

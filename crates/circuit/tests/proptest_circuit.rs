@@ -1,7 +1,10 @@
 //! Property-based tests for the threshold-circuit substrate.
 
+mod common;
+
+use common::{assert_arena_matches_scalar, random_rows};
 use proptest::prelude::*;
-use tc_circuit::{verify_against, verify_compiled, CircuitBuilder, DedupPolicy, EvalOptions, Wire};
+use tc_circuit::{verify_against, verify_compiled, CircuitBuilder, DedupPolicy, Wire};
 
 /// A generated circuit description: `(num_inputs, gates)` with each gate
 /// given as `(fan-in (wire ordinal, weight) pairs, threshold)`.
@@ -56,25 +59,14 @@ fn build(
 }
 
 proptest! {
-    /// The parallel evaluator must agree with the sequential one on every circuit and
-    /// every input.
+    /// The arena kernel at every lane width must agree with the sequential
+    /// evaluator on every circuit and every input.
     #[test]
-    fn parallel_eval_equals_sequential((num_inputs, spec) in random_circuit_spec(),
-                                       seed in any::<u64>()) {
+    fn arena_kernel_equals_sequential((num_inputs, spec) in random_circuit_spec(),
+                                      seed in any::<u64>()) {
         let circuit = build(num_inputs, &spec, DedupPolicy::KeepDuplicates);
-        let mut state = seed | 1;
-        let inputs: Vec<bool> = (0..num_inputs).map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state & 1 == 1
-        }).collect();
-        let seq = circuit.evaluate(&inputs).unwrap();
-        let par = circuit
-            .evaluate_parallel(&inputs, EvalOptions { parallel_threshold: 1 })
-            .unwrap();
-        prop_assert_eq!(seq.outputs(), par.outputs());
-        prop_assert_eq!(seq.gate_values(), par.gate_values());
+        let rows = random_rows(num_inputs, 8, seed);
+        assert_arena_matches_scalar(&circuit.compile().unwrap(), &rows)?;
     }
 
     /// Structural deduplication never changes the function computed on the designated

@@ -1,129 +1,15 @@
 //! Differential property tests per gate class: circuits forced to compile
 //! entirely into one [`GateClass`] (`Unit`, `Pow2`, `General`) must evaluate
 //! bit-identically — gate values, outputs, and firing counts — across the
-//! scalar evaluator, the unified kernel at `W = 1` (`evaluate_batch64`) and
-//! `W = 4`, and the zero-allocation arena entry point. This pins each
-//! class-specialised kernel loop against the reference, not just the mixed
-//! circuits `proptest_compiled.rs` generates.
+//! scalar oracle and the arena kernel at every lane width `W ∈ {1, 2, 4,
+//! 8}`. This pins each class-specialised kernel loop against the reference,
+//! not just the mixed circuits `proptest_compiled.rs` generates.
 
+mod common;
+
+use common::{assert_arena_matches_scalar, build_circuit, gate_spec, random_rows};
 use proptest::prelude::*;
-use tc_circuit::{Batch256, Batch64, CircuitBuilder, CompiledCircuit, GateClass, PlaneArena, Wire};
-
-/// One gate: fan-in as (wire ordinal, weight selector), plus a threshold.
-type GateSpec = (Vec<(usize, i64)>, i64);
-
-/// Builds a layered circuit where every weight selector is mapped through
-/// `weight_of`, forcing the class mix.
-fn build_circuit(
-    num_inputs: usize,
-    spec: &[GateSpec],
-    weight_of: impl Fn(i64) -> i64,
-) -> tc_circuit::Circuit {
-    let mut b = CircuitBuilder::new(num_inputs);
-    for (gate_idx, (fan_in, threshold)) in spec.iter().enumerate() {
-        let mut resolved = Vec::new();
-        let mut used = std::collections::HashSet::new();
-        for &(ordinal, selector) in fan_in {
-            let pool = 1 + num_inputs + gate_idx;
-            let o = ordinal % pool;
-            let wire = if o == 0 {
-                Wire::One
-            } else if o <= num_inputs {
-                Wire::input(o - 1)
-            } else {
-                Wire::gate(o - 1 - num_inputs)
-            };
-            if used.insert(wire) {
-                resolved.push((wire, weight_of(selector)));
-            }
-        }
-        if resolved.is_empty() {
-            resolved.push((Wire::One, weight_of(1)));
-        }
-        let w = b.add_gate(resolved, *threshold).unwrap();
-        b.mark_output(w);
-    }
-    b.build()
-}
-
-fn gate_spec() -> impl Strategy<Value = (usize, Vec<GateSpec>)> {
-    (
-        1usize..7,
-        prop::collection::vec(
-            (
-                prop::collection::vec((0usize..96, -40i64..41), 1..7),
-                -9i64..10,
-            ),
-            1..40,
-        ),
-    )
-}
-
-fn random_rows(num_inputs: usize, rows: usize, mut state: u64) -> Vec<Vec<bool>> {
-    state |= 1;
-    (0..rows)
-        .map(|_| {
-            (0..num_inputs)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    state & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Asserts the batch64 kernel, the 256-lane kernel, and the arena path all
-/// match the scalar evaluator gate-for-gate on `rows`.
-fn assert_all_kernels_agree(compiled: &CompiledCircuit, rows: &[Vec<bool>]) -> Result<(), String> {
-    let batch = Batch64::pack(compiled.num_inputs(), &rows[..rows.len().min(64)]).unwrap();
-    let bev = compiled.evaluate_batch64(&batch).unwrap();
-    let wide = Batch256::pack(compiled.num_inputs(), rows).unwrap();
-    let wev = compiled.evaluate_batch_wide(&wide).unwrap();
-    let refs: Vec<&[bool]> = rows.iter().map(|r| r.as_slice()).collect();
-    let mut arena = PlaneArena::new();
-    let aev = compiled
-        .evaluate_rows_arena::<4>(&refs, &mut arena)
-        .unwrap();
-    for (lane, row) in rows.iter().enumerate() {
-        let scalar = compiled.evaluate(row).unwrap();
-        if lane < 64 {
-            prop_assert_eq!(
-                &scalar,
-                &bev.evaluation(lane).unwrap(),
-                "batch64 disagrees on lane {}",
-                lane
-            );
-            prop_assert_eq!(
-                scalar.firing_count(),
-                bev.firing_count(lane).unwrap() as usize,
-                "batch64 firing count disagrees on lane {}",
-                lane
-            );
-        }
-        prop_assert_eq!(
-            &scalar,
-            &wev.evaluation(lane).unwrap(),
-            "wide256 disagrees on lane {}",
-            lane
-        );
-        prop_assert_eq!(
-            &scalar,
-            &aev.evaluation(lane).unwrap(),
-            "arena path disagrees on lane {}",
-            lane
-        );
-        prop_assert_eq!(
-            scalar.firing_count(),
-            aev.firing_count(lane).unwrap() as usize,
-            "arena firing count disagrees on lane {}",
-            lane
-        );
-    }
-    Ok(())
-}
+use tc_circuit::GateClass;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -131,7 +17,7 @@ proptest! {
     /// All weights forced to ±1: every gate must classify `Unit` and the
     /// raw-edge popcount loop must match scalar exactly.
     #[test]
-    fn unit_class_matches_scalar((num_inputs, spec) in gate_spec(),
+    fn unit_class_matches_scalar((num_inputs, spec) in gate_spec(-9i64..10),
                                  seed in any::<u64>(),
                                  width in 1usize..97) {
         let circuit = build_circuit(num_inputs, &spec, |s| if s < 0 { -1 } else { 1 });
@@ -143,14 +29,14 @@ proptest! {
         // Unit gates emit no bit-edges at all.
         prop_assert_eq!(compiled.num_bit_edges(), 0);
         let rows = random_rows(num_inputs, width, seed);
-        assert_all_kernels_agree(&compiled, &rows)?;
+        assert_arena_matches_scalar(&compiled, &rows)?;
     }
 
     /// All weight magnitudes forced to single set bits (with at least the
     /// possibility of >1 magnitudes): gates classify `Unit` or `Pow2`, and
     /// the shift-indexed plane loop must match scalar exactly.
     #[test]
-    fn pow2_class_matches_scalar((num_inputs, spec) in gate_spec(),
+    fn pow2_class_matches_scalar((num_inputs, spec) in gate_spec(-9i64..10),
                                  seed in any::<u64>(),
                                  width in 1usize..97) {
         // Map selector s to ±2^(|s| % 20): magnitude always a power of two.
@@ -170,13 +56,13 @@ proptest! {
             prop_assert_eq!(compiled.gate_class(g), expected, "gate {}", g);
         }
         let rows = random_rows(num_inputs, width, seed);
-        assert_all_kernels_agree(&compiled, &rows)?;
+        assert_arena_matches_scalar(&compiled, &rows)?;
     }
 
     /// Every gate given at least one multi-bit weight: all gates classify
     /// `General` and the bit-edge decomposition must match scalar exactly.
     #[test]
-    fn general_class_matches_scalar((num_inputs, spec) in gate_spec(),
+    fn general_class_matches_scalar((num_inputs, spec) in gate_spec(-9i64..10),
                                     seed in any::<u64>(),
                                     width in 1usize..97) {
         // Map selector s to a guaranteed multi-bit magnitude (3 + 2|s|
@@ -208,14 +94,14 @@ proptest! {
             prop_assert_eq!(compiled.gate_class(g), expected, "gate {}", g);
         }
         let rows = random_rows(num_inputs, width, seed);
-        assert_all_kernels_agree(&compiled, &rows)?;
+        assert_arena_matches_scalar(&compiled, &rows)?;
     }
 
     /// A mixed circuit with all three classes interleaved across layers:
     /// the segment dispatch and the internal (depth, class) permutation must
     /// be invisible — public accessors and evaluations speak original ids.
     #[test]
-    fn mixed_classes_and_permutation_are_invisible((num_inputs, spec) in gate_spec(),
+    fn mixed_classes_and_permutation_are_invisible((num_inputs, spec) in gate_spec(-9i64..10),
                                                    seed in any::<u64>(),
                                                    width in 1usize..97) {
         // Selector picks the class per edge: ±1, ±2^k, or multi-bit.
@@ -259,6 +145,6 @@ proptest! {
         }
         prop_assert!(seen.iter().all(|&s| s));
         let rows = random_rows(num_inputs, width, seed);
-        assert_all_kernels_agree(&compiled, &rows)?;
+        assert_arena_matches_scalar(&compiled, &rows)?;
     }
 }

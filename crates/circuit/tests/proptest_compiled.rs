@@ -1,25 +1,19 @@
-//! Differential property tests for the compiled CSR engine: the scalar,
-//! layer-parallel, bit-sliced `evaluate_batch64`, and width-generic
-//! 128/256/512-lane evaluators must agree gate-for-gate — values, outputs,
-//! and firing counts — on randomly generated layered circuits, including
-//! negative weights, `Wire::One`, ragged-tail lane counts, and empty
-//! batches.
+//! Differential property tests for the compiled CSR engine: the scalar
+//! oracle and the bit-sliced arena kernel at every lane width (64, 128, 256
+//! and 512 lanes) must agree gate-for-gate — values, outputs, and firing
+//! counts — on randomly generated layered circuits, including negative
+//! weights, `Wire::One`, ragged-tail lane counts, and empty batches.
 
+mod common;
+
+use common::{assert_arena_matches_scalar, build_circuit, random_rows, GateSpec};
 use proptest::prelude::*;
-use tc_circuit::{
-    Batch64, BatchWide, CircuitBuilder, CompiledCircuit, EvalOptions, Wire, BATCH_LANES,
-};
-
-/// A generated circuit description: `(num_inputs, gates)` with each gate
-/// given as `(fan-in (wire ordinal, weight) pairs, threshold)`.
-type CircuitSpec = (usize, Vec<(Vec<(usize, i64)>, i64)>);
+use tc_circuit::{CircuitBuilder, Wire};
 
 /// Strategy producing a random layered circuit spec: `(num_inputs, gates)`
-/// where each gate is `(fan-in as (wire_ordinal, weight), threshold)`.  A
-/// wire ordinal `o` resolves to: the constant-one wire when `o == 0`, input
-/// `o - 1` when `o <= num_inputs`, otherwise an earlier gate (modulo the
-/// gates available so far, preserving topological order).
-fn circuit_spec() -> impl Strategy<Value = CircuitSpec> {
+/// where each gate is `(fan-in as (wire_ordinal, weight), threshold)`; see
+/// [`build_circuit`] for how ordinals resolve to wires.
+fn circuit_spec() -> impl Strategy<Value = (usize, Vec<GateSpec>)> {
     (
         1usize..7,
         prop::collection::vec(
@@ -32,153 +26,30 @@ fn circuit_spec() -> impl Strategy<Value = CircuitSpec> {
     )
 }
 
-fn build_circuit(num_inputs: usize, spec: &[(Vec<(usize, i64)>, i64)]) -> tc_circuit::Circuit {
-    let mut b = CircuitBuilder::new(num_inputs);
-    for (gate_idx, (fan_in, threshold)) in spec.iter().enumerate() {
-        let mut resolved = Vec::new();
-        let mut used = std::collections::HashSet::new();
-        for &(ordinal, weight) in fan_in {
-            let pool = 1 + num_inputs + gate_idx;
-            let o = ordinal % pool;
-            let wire = if o == 0 {
-                Wire::One
-            } else if o <= num_inputs {
-                Wire::input(o - 1)
-            } else {
-                Wire::gate(o - 1 - num_inputs)
-            };
-            if used.insert(wire) {
-                resolved.push((wire, weight));
-            }
-        }
-        if resolved.is_empty() {
-            resolved.push((Wire::One, 1));
-        }
-        let w = b.add_gate(resolved, *threshold).unwrap();
-        b.mark_output(w);
-    }
-    // Also exercise non-gate outputs.
-    b.mark_output(Wire::One);
-    if num_inputs > 0 {
-        b.mark_output(Wire::input(num_inputs - 1));
-    }
-    b.build()
-}
-
-fn random_rows(num_inputs: usize, rows: usize, mut state: u64) -> Vec<Vec<bool>> {
-    state |= 1;
-    (0..rows)
-        .map(|_| {
-            (0..num_inputs)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    state & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Asserts the width-`W` wide evaluator is bit-identical to the scalar
-/// evaluator — gate values, outputs, and firing counts — on `rows`, which
-/// may be empty or any ragged lane count up to `64·W`.
-fn assert_wide_agrees<const W: usize>(
-    compiled: &CompiledCircuit,
-    rows: &[Vec<bool>],
-) -> Result<(), String> {
-    let batch = BatchWide::<W>::pack(compiled.num_inputs(), rows).unwrap();
-    prop_assert_eq!(batch.lanes(), rows.len());
-    let wev = compiled.evaluate_batch_wide(&batch).unwrap();
-    prop_assert_eq!(wev.lanes(), rows.len());
-    prop_assert!(
-        wev.output(rows.len(), 0).is_err(),
-        "dead lanes must be unreachable"
-    );
-    for (lane, row) in rows.iter().enumerate() {
-        let scalar = compiled.evaluate(row).unwrap();
-        prop_assert_eq!(
-            scalar.gate_values(),
-            wev.gate_values(lane).unwrap().as_slice(),
-            "wide{} gate values disagree on lane {}",
-            64 * W,
-            lane
-        );
-        prop_assert_eq!(
-            scalar.outputs(),
-            wev.outputs(lane).unwrap().as_slice(),
-            "wide{} outputs disagree on lane {}",
-            64 * W,
-            lane
-        );
-        prop_assert_eq!(
-            scalar.firing_count(),
-            wev.firing_count(lane).unwrap() as usize,
-            "wide{} firing count disagrees on lane {}",
-            64 * W,
-            lane
-        );
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// All three evaluators agree on gate values, outputs, and firing counts
-    /// for every lane of a full-width batch.
+    /// Batches of up to one 64-lane group: every lane width agrees with the
+    /// scalar oracle on gate values, outputs, and firing counts.
     #[test]
-    fn scalar_parallel_batch64_agree((num_inputs, spec) in circuit_spec(),
-                                     seed in any::<u64>(),
-                                     width in 1usize..65) {
-        let circuit = build_circuit(num_inputs, &spec);
-        let compiled = circuit.compile().unwrap();
+    fn scalar_and_arena_agree_within_one_group((num_inputs, spec) in circuit_spec(),
+                                               seed in any::<u64>(),
+                                               width in 1usize..65) {
+        let compiled = build_circuit(num_inputs, &spec, |w| w).compile().unwrap();
         let rows = random_rows(num_inputs, width, seed);
-        let batch = Batch64::pack(num_inputs, &rows).unwrap();
-        prop_assert_eq!(batch.lanes(), width.min(BATCH_LANES));
-        let bev = compiled.evaluate_batch64(&batch).unwrap();
-
-        for (lane, row) in rows.iter().enumerate() {
-            let scalar = compiled.evaluate(row).unwrap();
-            let parallel = compiled
-                .evaluate_parallel(row, EvalOptions { parallel_threshold: 1 })
-                .unwrap();
-            prop_assert_eq!(&scalar, &parallel, "parallel disagrees on lane {}", lane);
-            prop_assert_eq!(
-                scalar.gate_values(),
-                bev.gate_values(lane).unwrap().as_slice(),
-                "batch gate values disagree on lane {}", lane
-            );
-            prop_assert_eq!(
-                scalar.outputs(),
-                bev.outputs(lane).unwrap().as_slice(),
-                "batch outputs disagree on lane {}", lane
-            );
-            prop_assert_eq!(
-                scalar.firing_count(),
-                bev.firing_count(lane).unwrap() as usize,
-                "batch firing count disagrees on lane {}", lane
-            );
-        }
+        assert_arena_matches_scalar(&compiled, &rows)?;
     }
 
-    /// The wide 128/256/512-lane backends agree gate-for-gate with scalar,
-    /// including ragged-tail lane counts and the empty batch (`width == 0`).
+    /// Batches up to 512 lanes: the 64/128/256/512-lane kernels agree
+    /// gate-for-gate with scalar, including ragged-tail lane counts, several
+    /// groups through one reused arena, and the empty batch (`width == 0`).
     #[test]
     fn wide_lanes_agree_with_scalar((num_inputs, spec) in circuit_spec(),
                                     seed in any::<u64>(),
                                     width in 0usize..513) {
-        let circuit = build_circuit(num_inputs, &spec);
-        let compiled = circuit.compile().unwrap();
+        let compiled = build_circuit(num_inputs, &spec, |w| w).compile().unwrap();
         let rows = random_rows(num_inputs, width, seed);
-        if width <= 128 {
-            assert_wide_agrees::<2>(&compiled, &rows)?;
-        }
-        if width <= 256 {
-            assert_wide_agrees::<4>(&compiled, &rows)?;
-        }
-        assert_wide_agrees::<8>(&compiled, &rows)?;
+        assert_arena_matches_scalar(&compiled, &rows)?;
     }
 
     /// The padded-tail `evaluate_many` path matches per-request scalar
@@ -187,7 +58,7 @@ proptest! {
     fn evaluate_many_handles_any_batch_size((num_inputs, spec) in circuit_spec(),
                                             seed in any::<u64>(),
                                             requests in 0usize..200) {
-        let circuit = build_circuit(num_inputs, &spec);
+        let circuit = build_circuit(num_inputs, &spec, |w| w);
         let compiled = circuit.compile().unwrap();
         let rows = random_rows(num_inputs, requests, seed);
         let many = compiled.evaluate_many(&rows).unwrap();
@@ -214,7 +85,7 @@ proptest! {
     #[test]
     fn compiled_matches_circuit_evaluate((num_inputs, spec) in circuit_spec(),
                                          seed in any::<u64>()) {
-        let circuit = build_circuit(num_inputs, &spec);
+        let circuit = build_circuit(num_inputs, &spec, |w| w);
         let compiled = circuit.compile().unwrap();
         for row in random_rows(num_inputs, 8, seed) {
             let a = circuit.evaluate(&row).unwrap();
@@ -226,7 +97,7 @@ proptest! {
     /// Compiled statistics match the circuit-derived aggregate measures.
     #[test]
     fn compiled_stats_are_consistent((num_inputs, spec) in circuit_spec()) {
-        let circuit = build_circuit(num_inputs, &spec);
+        let circuit = build_circuit(num_inputs, &spec, |w| w);
         let compiled = circuit.compile().unwrap();
         let stats = compiled.stats();
         prop_assert_eq!(stats.size, circuit.num_gates());

@@ -1,17 +1,18 @@
 //! Differential property tests for the SIMD dispatch: whatever vector level
 //! the host CPU offers, every kernel width must produce bit-identical
-//! results — gate masks, outputs, firing counts — to the portable scalar
+//! results — gate values, outputs, firing counts — to the portable scalar
 //! word loop, per gate class and on ragged-tail batch widths.
 //!
 //! The portable arm is selected through [`tc_circuit::simd::force_portable`],
 //! a process-global switch, so the tests in this binary serialise on a mutex
 //! and restore the default even when an assertion fails.
 
+mod common;
+
+use common::{arena_lanes, build_circuit, gate_spec, random_rows};
 use proptest::prelude::*;
 use std::sync::{Mutex, OnceLock};
-use tc_circuit::{
-    simd, Batch128, Batch256, Batch512, Batch64, Circuit, CircuitBuilder, PlaneArena, Wire,
-};
+use tc_circuit::{simd, Circuit, CircuitBuilder, Evaluation, Wire};
 
 /// Serialises every test touching the global force-portable switch.
 fn simd_lock() -> &'static Mutex<()> {
@@ -25,66 +26,6 @@ impl Drop for PortableGuard {
     fn drop(&mut self) {
         simd::force_portable(false);
     }
-}
-
-/// One gate: fan-in as (wire ordinal, weight selector), plus a threshold.
-type GateSpec = (Vec<(usize, i64)>, i64);
-
-fn build_circuit(num_inputs: usize, spec: &[GateSpec], weight_of: impl Fn(i64) -> i64) -> Circuit {
-    let mut b = CircuitBuilder::new(num_inputs);
-    for (gate_idx, (fan_in, threshold)) in spec.iter().enumerate() {
-        let mut resolved = Vec::new();
-        let mut used = std::collections::HashSet::new();
-        for &(ordinal, selector) in fan_in {
-            let pool = 1 + num_inputs + gate_idx;
-            let o = ordinal % pool;
-            let wire = if o == 0 {
-                Wire::One
-            } else if o <= num_inputs {
-                Wire::input(o - 1)
-            } else {
-                Wire::gate(o - 1 - num_inputs)
-            };
-            if used.insert(wire) {
-                resolved.push((wire, weight_of(selector)));
-            }
-        }
-        if resolved.is_empty() {
-            resolved.push((Wire::One, weight_of(1)));
-        }
-        let w = b.add_gate(resolved, *threshold).unwrap();
-        b.mark_output(w);
-    }
-    b.build()
-}
-
-fn gate_spec() -> impl Strategy<Value = (usize, Vec<GateSpec>)> {
-    (
-        1usize..7,
-        prop::collection::vec(
-            (
-                prop::collection::vec((0usize..96, -40i64..41), 1..7),
-                -9i64..10,
-            ),
-            1..40,
-        ),
-    )
-}
-
-fn random_rows(num_inputs: usize, rows: usize, mut state: u64) -> Vec<Vec<bool>> {
-    state |= 1;
-    (0..rows)
-        .map(|_| {
-            (0..num_inputs)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    state & 1 == 1
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// Weight mapper per class forced by the proptests below.
@@ -102,43 +43,16 @@ fn weight_of(class: usize, s: i64) -> i64 {
     }
 }
 
-/// Evaluates `rows` through every kernel width on the CURRENT dispatch arm
-/// and returns a flat digest (all output masks + firing counts).
-fn digest(circuit: &Circuit, rows: &[Vec<bool>]) -> (Vec<u64>, Vec<u32>) {
+/// Evaluates `rows` through the arena kernel at every width `W ∈ {1, 2, 4,
+/// 8}` on the CURRENT dispatch arm and returns each lane's full evaluation
+/// and firing count, width after width.
+fn digest(circuit: &Circuit, rows: &[Vec<bool>]) -> Result<Vec<(Evaluation, u32)>, String> {
     let compiled = circuit.compile().unwrap();
-    let mut masks = Vec::new();
-    let mut firing = Vec::new();
-
-    let b64 = Batch64::pack(compiled.num_inputs(), &rows[..rows.len().min(64)]).unwrap();
-    let ev = compiled.evaluate_batch64(&b64).unwrap();
-    masks.extend_from_slice(ev.gate_masks());
-    masks.extend_from_slice(ev.output_masks());
-    firing.extend((0..b64.lanes()).map(|l| ev.firing_count(l).unwrap()));
-
-    let w128 = Batch128::pack(compiled.num_inputs(), &rows[..rows.len().min(128)]).unwrap();
-    let ev = compiled.evaluate_batch_wide(&w128).unwrap();
-    firing.extend((0..rows.len().min(128)).map(|l| ev.firing_count(l).unwrap()));
-
-    let w256 = Batch256::pack(compiled.num_inputs(), &rows[..rows.len().min(256)]).unwrap();
-    let ev = compiled.evaluate_batch_wide(&w256).unwrap();
-    firing.extend((0..rows.len().min(256)).map(|l| ev.firing_count(l).unwrap()));
-
-    let w512 = Batch512::pack(compiled.num_inputs(), rows).unwrap();
-    let ev = compiled.evaluate_batch_wide(&w512).unwrap();
-    firing.extend((0..rows.len()).map(|l| ev.firing_count(l).unwrap()));
-
-    let refs: Vec<&[bool]> = rows.iter().map(|r| r.as_slice()).collect();
-    let mut arena = PlaneArena::new();
-    let ev = compiled
-        .evaluate_rows_arena::<8>(&refs, &mut arena)
-        .unwrap();
-    firing.extend((0..rows.len()).map(|l| ev.firing_count(l).unwrap()));
-    for i in 0..compiled.num_outputs() {
-        for group in 0..rows.len().div_ceil(64) {
-            masks.push(ev.output_lane_mask(i, group));
-        }
-    }
-    (masks, firing)
+    let mut lanes = arena_lanes::<1>(&compiled, rows)?;
+    lanes.extend(arena_lanes::<2>(&compiled, rows)?);
+    lanes.extend(arena_lanes::<4>(&compiled, rows)?);
+    lanes.extend(arena_lanes::<8>(&compiled, rows)?);
+    Ok(lanes)
 }
 
 /// Runs `digest` on the active (possibly vector) arm and on the forced
@@ -150,22 +64,20 @@ fn assert_arms_agree(circuit: &Circuit, rows: &[Vec<bool>]) -> Result<(), String
         Err(poisoned) => poisoned.into_inner(),
     };
     simd::force_portable(false);
-    let vectored = digest(circuit, rows);
+    let vectored = digest(circuit, rows)?;
     let _guard = PortableGuard;
     simd::force_portable(true);
-    let portable = digest(circuit, rows);
-    prop_assert_eq!(
-        vectored.0,
-        portable.0,
-        "lane masks diverge between {} and portable",
-        simd::detected_level().name()
-    );
-    prop_assert_eq!(
-        vectored.1,
-        portable.1,
-        "firing counts diverge between {} and portable",
-        simd::detected_level().name()
-    );
+    let portable = digest(circuit, rows)?;
+    prop_assert_eq!(vectored.len(), portable.len());
+    for (lane, (v, p)) in vectored.iter().zip(&portable).enumerate() {
+        prop_assert_eq!(
+            v,
+            p,
+            "lane {} (width-major) diverges between {} and portable",
+            lane,
+            simd::detected_level().name()
+        );
+    }
     Ok(())
 }
 
@@ -174,7 +86,7 @@ proptest! {
 
     /// Unit-class circuits: raw-edge popcount loops, both arms identical.
     #[test]
-    fn unit_class_simd_matches_portable((num_inputs, spec) in gate_spec(),
+    fn unit_class_simd_matches_portable((num_inputs, spec) in gate_spec(-9i64..10),
                                         seed in any::<u64>(),
                                         width in 1usize..513) {
         let circuit = build_circuit(num_inputs, &spec, |s| weight_of(0, s));
@@ -184,7 +96,7 @@ proptest! {
 
     /// Pow2-class circuits: shift-indexed plane additions.
     #[test]
-    fn pow2_class_simd_matches_portable((num_inputs, spec) in gate_spec(),
+    fn pow2_class_simd_matches_portable((num_inputs, spec) in gate_spec(-9i64..10),
                                         seed in any::<u64>(),
                                         width in 1usize..513) {
         let circuit = build_circuit(num_inputs, &spec, |s| weight_of(1, s));
@@ -194,7 +106,7 @@ proptest! {
 
     /// General-class circuits: multi-digit bit-edge decompositions.
     #[test]
-    fn general_class_simd_matches_portable((num_inputs, spec) in gate_spec(),
+    fn general_class_simd_matches_portable((num_inputs, spec) in gate_spec(-9i64..10),
                                            seed in any::<u64>(),
                                            width in 1usize..513) {
         let circuit = build_circuit(num_inputs, &spec, |s| weight_of(2, s));
@@ -205,7 +117,7 @@ proptest! {
     /// Mixed-class circuits on deliberately ragged batch widths (partial
     /// final lane groups for every kernel width).
     #[test]
-    fn ragged_tails_simd_matches_portable((num_inputs, spec) in gate_spec(),
+    fn ragged_tails_simd_matches_portable((num_inputs, spec) in gate_spec(-9i64..10),
                                           seed in any::<u64>(),
                                           tail in 1usize..64,
                                           groups in 0usize..8) {

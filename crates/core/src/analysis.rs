@@ -10,8 +10,8 @@
 //!   for the baselines.
 //! * **Paper bounds** ([`lemma_4_3_gate_bound`], [`theorem_4_4_gate_bound`],
 //!   [`theorem_4_5_gate_bound`], [`theorem_4_5_exponent`], …): the asymptotic
-//!   expressions of Section 4 evaluated with their explicit constants, used to draw the
-//!   scaling curves in EXPERIMENTS.md.
+//!   expressions of Section 4 evaluated with their explicit constants, used by the
+//!   `expt_e*` experiment binaries to print the scaling curves.
 
 use crate::schedule::LevelSchedule;
 use crate::tree::{coefficient_table, TreeKind};

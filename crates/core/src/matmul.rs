@@ -13,7 +13,7 @@ use crate::tree::{coefficient_table, combine_product_tree, compute_tree_leaves, 
 use crate::{CircuitConfig, CoreError, Result};
 use fast_matmul::Matrix;
 use tc_arith::{product_signed_repr, InputAllocator, Repr, SignedInt};
-use tc_circuit::{Circuit, CircuitBuilder, CircuitStats, CompiledCircuit, EvalOptions, PaperBound};
+use tc_circuit::{Circuit, CircuitBuilder, CircuitStats, CompiledCircuit, PaperBound};
 use tc_runtime::{Detail, Runtime};
 
 /// A constant-depth threshold circuit computing the product of two `N×N` integer
@@ -171,15 +171,6 @@ impl MatmulCircuit {
         Ok(self.decode(&bits, &ev))
     }
 
-    /// Like [`MatmulCircuit::evaluate`] but uses the layer-parallel evaluator.
-    pub fn evaluate_parallel(&self, a: &Matrix, b: &Matrix) -> Result<Matrix> {
-        let bits = self.encode(a, b)?;
-        let ev = self
-            .compiled
-            .evaluate_parallel(&bits, EvalOptions::default())?;
-        Ok(self.decode(&bits, &ev))
-    }
-
     /// Multiplies many matrix pairs through the embedded serving runtime:
     /// pairs ride bit-sliced lane groups (64–512 lanes per pass, auto-tuned)
     /// sharded across worker threads.
@@ -325,15 +316,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_agrees() {
+    fn arena_kernel_agrees_with_scalar() {
+        fn decode_lane0<const W: usize>(mm: &MatmulCircuit, bits: &[bool]) -> Matrix {
+            let mut arena = tc_circuit::PlaneArena::new();
+            let ev = mm
+                .compiled()
+                .evaluate_rows_arena::<W>(&[bits], &mut arena)
+                .unwrap();
+            mm.decode(bits, &ev.evaluation(0).unwrap())
+        }
         let config = CircuitConfig::new(BilinearAlgorithm::strassen(), 2);
         let mm = MatmulCircuit::theorem_4_9(&config, 4, 2).unwrap();
         let a = random_matrix(4, 3, 31);
         let b = random_matrix(4, 3, 32);
-        assert_eq!(
-            mm.evaluate(&a, &b).unwrap(),
-            mm.evaluate_parallel(&a, &b).unwrap()
-        );
+        let bits = mm.encode(&a, &b).unwrap();
+        let scalar = mm.evaluate(&a, &b).unwrap();
+        assert_eq!(decode_lane0::<1>(&mm, &bits), scalar);
+        assert_eq!(decode_lane0::<2>(&mm, &bits), scalar);
+        assert_eq!(decode_lane0::<4>(&mm, &bits), scalar);
+        assert_eq!(decode_lane0::<8>(&mm, &bits), scalar);
     }
 
     #[test]

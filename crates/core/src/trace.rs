@@ -182,15 +182,6 @@ impl TraceCircuit {
         Ok(ev.outputs()[0])
     }
 
-    /// Like [`TraceCircuit::evaluate`] but uses the layer-parallel evaluator.
-    pub fn evaluate_parallel(&self, a: &Matrix) -> Result<bool> {
-        let bits = self.encode(a)?;
-        let ev = self
-            .compiled
-            .evaluate_parallel(&bits, tc_circuit::EvalOptions::default())?;
-        Ok(ev.outputs()[0])
-    }
-
     /// Answers the trace-threshold query for many matrices through the
     /// embedded serving runtime.
     ///
@@ -380,15 +371,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_agrees() {
+    fn arena_kernel_agrees_with_scalar() {
+        fn lane0<const W: usize>(circuit: &TraceCircuit, bits: &[bool]) -> bool {
+            let mut arena = tc_circuit::PlaneArena::new();
+            let ev = circuit
+                .compiled()
+                .evaluate_rows_arena::<W>(&[bits], &mut arena)
+                .unwrap();
+            ev.output(0, 0).unwrap()
+        }
         let config = CircuitConfig::binary(BilinearAlgorithm::strassen());
         let a = adjacency(8, 0.4, 3);
         let tau = trace_of_cube(&a) as i64;
         let circuit = TraceCircuit::theorem_4_5(&config, 8, 2, tau).unwrap();
-        assert_eq!(
-            circuit.evaluate(&a).unwrap(),
-            circuit.evaluate_parallel(&a).unwrap()
-        );
+        let bits = circuit.encode(&a).unwrap();
+        let scalar = circuit.evaluate(&a).unwrap();
+        assert_eq!(lane0::<1>(&circuit, &bits), scalar);
+        assert_eq!(lane0::<2>(&circuit, &bits), scalar);
+        assert_eq!(lane0::<4>(&circuit, &bits), scalar);
+        assert_eq!(lane0::<8>(&circuit, &bits), scalar);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The pluggable execution interface and the standard backend set.
 
 use crate::{Result, RuntimeError};
-use tc_circuit::{CompiledCircuit, EvalOptions, Evaluation, PlaneArena};
+use tc_circuit::{CompiledCircuit, Evaluation, PlaneArena};
 
 /// How much of each evaluation a [`Response`] must carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,9 +60,6 @@ pub struct BackendCaps {
     /// Preferred number of requests per [`EvalBackend::eval_group`] call —
     /// the lane-group width the scheduler packs towards.
     pub lane_group: usize,
-    /// Whether the backend parallelises internally across OS threads (the
-    /// scheduler then runs it single-worker to avoid oversubscription).
-    pub internally_parallel: bool,
     /// Whether a pass has a fixed lane width regardless of fill (the
     /// bit-sliced kernels): partial groups then genuinely waste
     /// `lane_group - rows` lanes, which telemetry reports as padding. For
@@ -155,7 +152,6 @@ impl EvalBackend for ScalarBackend {
             // Group a handful of sequential evaluations so scheduler
             // bookkeeping amortises without starving multi-worker sharding.
             lane_group: 8,
-            internally_parallel: false,
             bit_sliced: false,
         }
     }
@@ -175,45 +171,6 @@ impl EvalBackend for ScalarBackend {
         shape_response_shells(responses, rows.len());
         for (row, resp) in rows.iter().zip(responses.iter_mut()) {
             resp.fill_from_evaluation(circuit.evaluate(row)?, detail);
-        }
-        Ok(())
-    }
-}
-
-/// Layer-parallel evaluation: one request at a time, each depth layer split
-/// across OS threads. Wins on very large circuits at batch sizes too small
-/// to fill even one bit-sliced lane group.
-#[derive(Debug, Default)]
-pub struct LayerParallelBackend;
-
-impl EvalBackend for LayerParallelBackend {
-    fn caps(&self) -> BackendCaps {
-        BackendCaps {
-            name: "layer_parallel",
-            lane_group: 1,
-            internally_parallel: true,
-            bit_sliced: false,
-        }
-    }
-
-    fn cost_model(&self, circuit: &CompiledCircuit, batch: usize) -> f64 {
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get) as f64;
-        // Per-layer fork/join overhead makes this a big-circuit backend.
-        batch as f64 * (circuit.num_edges() as f64 / threads + circuit.depth() as f64 * 2_000.0)
-    }
-
-    fn eval_group(
-        &self,
-        circuit: &CompiledCircuit,
-        rows: &[&[bool]],
-        detail: Detail,
-        _arena: &mut PlaneArena,
-        responses: &mut Vec<Response>,
-    ) -> Result<()> {
-        shape_response_shells(responses, rows.len());
-        for (row, resp) in rows.iter().zip(responses.iter_mut()) {
-            let ev = circuit.evaluate_parallel(row, EvalOptions::default())?;
-            resp.fill_from_evaluation(ev, detail);
         }
         Ok(())
     }
@@ -242,7 +199,6 @@ impl<const W: usize> EvalBackend for WideBackend<W> {
                 _ => "wide",
             },
             lane_group: 64 * W,
-            internally_parallel: false,
             bit_sliced: true,
         }
     }
@@ -311,12 +267,11 @@ impl BackendRegistry {
         }
     }
 
-    /// The standard set: scalar, layer-parallel, and the unified bit-sliced
-    /// kernel at 64/128/256/512 lanes.
+    /// The standard set: scalar and the unified bit-sliced kernel at
+    /// 64/128/256/512 lanes.
     pub fn standard() -> Self {
         let mut reg = BackendRegistry::empty();
         reg.register(Box::new(ScalarBackend));
-        reg.register(Box::new(LayerParallelBackend));
         reg.register(Box::new(WideBackend::<1>));
         reg.register(Box::new(WideBackend::<2>));
         reg.register(Box::new(WideBackend::<4>));
@@ -383,17 +338,10 @@ mod tests {
         let reg = BackendRegistry::standard();
         assert_eq!(
             reg.names(),
-            vec![
-                "scalar",
-                "layer_parallel",
-                "sliced64",
-                "wide128",
-                "wide256",
-                "wide512"
-            ]
+            vec!["scalar", "sliced64", "wide128", "wide256", "wide512"]
         );
         let widths: Vec<usize> = reg.backends().iter().map(|b| b.caps().lane_group).collect();
-        assert_eq!(widths, vec![8, 1, 64, 128, 256, 512]);
+        assert_eq!(widths, vec![8, 64, 128, 256, 512]);
         assert!(reg.index_of("wide256").is_ok());
         assert!(matches!(
             reg.index_of("gpu"),

@@ -1,18 +1,17 @@
 //! # tc-runtime — a pluggable multi-backend serving runtime
 //!
-//! The compiled CSR engine in `tc-circuit` hosts several evaluators —
-//! sequential scalar, layer-parallel, the 64-lane bit-sliced kernel, and the
-//! width-generic `[u64; W]` kernels for 128/256/512 lanes. Each wins on a
-//! different (circuit size, batch size) region, and callers should not have
-//! to hand-chunk batches of exactly one lane-group width or guess which
-//! kernel to use. This crate turns those evaluators into a serving
-//! subsystem:
+//! The compiled CSR engine in `tc-circuit` hosts one scalar oracle and one
+//! width-generic bit-sliced kernel, run at 64, 128, 256 or 512 lanes per
+//! pass. Each width wins on a different (circuit size, batch size) region,
+//! and callers should not have to hand-chunk batches of exactly one
+//! lane-group width or guess which width to use. This crate turns that
+//! engine into a serving subsystem:
 //!
 //! * [`EvalBackend`] — the pluggable execution interface: capabilities (lane
-//!   group width, internal parallelism), a relative cost model, and a
-//!   group-evaluation entry point. [`BackendRegistry::standard`] registers
-//!   the scalar, layer-parallel, 64-lane, and 128/256/512-lane backends;
-//!   custom backends can be registered alongside them.
+//!   group width), a relative cost model, and a group-evaluation entry
+//!   point. [`BackendRegistry::standard`] registers the scalar, 64-lane, and
+//!   128/256/512-lane backends; custom backends can be registered alongside
+//!   them.
 //! * [`Runtime`] — the facade: submit arbitrary-size request batches
 //!   ([`Runtime::serve_batch`]) or an unbounded request iterator
 //!   ([`Runtime::serve_stream`]) against any compiled circuit. The runtime
@@ -128,8 +127,8 @@ mod trace;
 mod tuner;
 
 pub use backend::{
-    shape_response_shells, BackendCaps, BackendRegistry, Detail, EvalBackend, LayerParallelBackend,
-    Response, ScalarBackend, Sliced64Backend, WideBackend,
+    shape_response_shells, BackendCaps, BackendRegistry, Detail, EvalBackend, Response,
+    ScalarBackend, Sliced64Backend, WideBackend,
 };
 pub use faults::{FaultKind, FaultPlan};
 pub use metrics::{Histogram, HistogramSnapshot, StageHistograms, StageSnapshot, RELATIVE_ERROR};

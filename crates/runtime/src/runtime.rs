@@ -682,7 +682,6 @@ mod tests {
             crate::BackendCaps {
                 name: self.0,
                 lane_group: 16,
-                internally_parallel: false,
                 bit_sliced: false,
             }
         }

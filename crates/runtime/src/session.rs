@@ -550,17 +550,11 @@ impl<'a> SessionShared<'a> {
             .eval_hist
             .set(self.runtime.telemetry_ref().backend_eval(caps.name));
         let lane_group = caps.lane_group.max(1);
-        let target_workers = if caps.internally_parallel {
-            // The backend forks per depth layer itself; scheduler workers
-            // on top would oversubscribe cores.
-            1
-        } else {
-            let mut target = self.runtime.options().effective_workers();
-            if self.opts.batch_hint > 0 {
-                target = target.min(self.opts.batch_hint.div_ceil(lane_group));
-            }
-            target.max(1)
-        };
+        let mut target_workers = self.runtime.options().effective_workers();
+        if self.opts.batch_hint > 0 {
+            target_workers = target_workers.min(self.opts.batch_hint.div_ceil(lane_group));
+        }
+        let target_workers = target_workers.max(1);
         let queue_capacity = self
             .runtime
             .options()

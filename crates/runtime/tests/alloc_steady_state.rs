@@ -12,9 +12,14 @@
 //!    `Detail::Outputs` once the session's response pool and arena have
 //!    warmed up: the pool extends the arena's guarantee from the kernel to
 //!    the whole serve loop.
+//!
+//! Every measured loop runs on the test's own thread (single-worker
+//! runtimes serve inline), so the allocator counts per thread: allocations
+//! the test harness makes on other threads — spawning the next test's
+//! thread while this one measures — cannot leak into a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
 use tc_circuit::{CircuitBuilder, CompiledCircuit, PlaneArena, Wire};
@@ -26,16 +31,26 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so touching it never allocates or
+    // re-enters the allocator.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: a pure pass-through to `System` plus a relaxed counter bump — it
-// upholds `GlobalAlloc`'s contract exactly as `System` does, and the
+/// Counts one allocation against the calling thread (a no-op while the
+/// thread's TLS is being torn down).
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: a pure pass-through to `System` plus a thread-local counter bump —
+// it upholds `GlobalAlloc`'s contract exactly as `System` does, and the
 // counter never allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards its arguments unchanged to `System`, so the layout
     // preconditions the caller established carry over verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: same `layout` the caller passed in.
         unsafe { System.alloc(layout) }
     }
@@ -50,7 +65,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: pass-through; `ptr`/`layout` preconditions carry over.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc that moves is a fresh allocation for our purposes.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: arguments forwarded unchanged; `ptr` originated in
         // `System.alloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -60,8 +75,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations the calling thread has made so far.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A few layers of majority-style gates — enough slots that a per-group

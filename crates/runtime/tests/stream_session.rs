@@ -662,7 +662,6 @@ impl tc_runtime::EvalBackend for PanickingBackend {
         tc_runtime::BackendCaps {
             name: self.0,
             lane_group: 16,
-            internally_parallel: false,
             bit_sliced: false,
         }
     }

@@ -30,6 +30,10 @@ use tcmm_core::CircuitConfig;
 /// One certified sweep entry: the constructor's bound next to what the
 /// compiled artifact actually measures, plus the full verifier report.
 struct Row {
+    /// The constructor column: the bound's constructor, prefixed with the
+    /// public surface that built it when that surface wraps another
+    /// constructor (e.g. `TriangleOracle → TraceCircuit`).
+    label: String,
     bound: PaperBound,
     depth: u32,
     gates: usize,
@@ -40,6 +44,14 @@ struct Row {
 impl Row {
     fn ok(&self) -> bool {
         self.report.is_valid()
+    }
+
+    /// Labels a row built through `surface`, a wrapper around the bound's
+    /// own constructor, so it cannot be mistaken for a direct build of the
+    /// same geometry.
+    fn via(mut self, surface: &str) -> Row {
+        self.label = format!("{surface} → {}", self.bound.constructor);
+        self
     }
 
     fn status(&self) -> String {
@@ -62,6 +74,7 @@ fn check(circuit: &Circuit, compiled: &CompiledCircuit, bound: PaperBound) -> Ro
     let mut report = verify_against(circuit, compiled);
     report.merge(bound.certify(compiled));
     Row {
+        label: bound.constructor.to_string(),
         bound,
         depth: compiled.depth(),
         gates: compiled.num_gates(),
@@ -139,11 +152,14 @@ fn build_rows() -> Result<Vec<Row>, String> {
     let oracle =
         TriangleOracle::new(&binary, 6, 2, 3).map_err(|e| err("TriangleOracle v=6 d=2", &e))?;
     let trace = oracle.circuit();
-    rows.push(check(
-        trace.circuit(),
-        trace.compiled(),
-        oracle.paper_bound().clone(),
-    ));
+    rows.push(
+        check(
+            trace.circuit(),
+            trace.compiled(),
+            oracle.paper_bound().clone(),
+        )
+        .via("TriangleOracle"),
+    );
 
     // The circuit the convnet's threshold backend would build for a
     // 3×3 one-channel image under 2×2 kernels: im2col shape (4, 4, 2),
@@ -164,11 +180,14 @@ fn build_rows() -> Result<Vec<Row>, String> {
         .plan_circuit(p.max(q).max(k), 2)
         .expect("the threshold backend always plans a circuit")
         .map_err(|e| err("convnet im2col (4,4,2)", &e))?;
-    rows.push(check(
-        planned.circuit(),
-        planned.compiled(),
-        planned.paper_bound().clone(),
-    ));
+    rows.push(
+        check(
+            planned.circuit(),
+            planned.compiled(),
+            planned.paper_bound().clone(),
+        )
+        .via("convnet plan_circuit"),
+    );
 
     Ok(rows)
 }
@@ -191,7 +210,7 @@ fn render_table(rows: &[Row]) -> String {
             None => format!("{} (unbounded)", row.edges),
         };
         cells.push([
-            row.bound.constructor.to_string(),
+            row.label.clone(),
             row.bound.theorem.to_string(),
             row.bound.geometry.clone(),
             format!("{} ({})", row.depth, row.bound.depth),
@@ -203,7 +222,7 @@ fn render_table(rows: &[Row]) -> String {
     let mut widths = [0usize; 7];
     for row in &cells {
         for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
+            *w = (*w).max(cell.chars().count());
         }
     }
     let mut out = String::new();
@@ -240,7 +259,7 @@ pub fn run(output: Option<&Path>) -> ExitCode {
     for row in &failed {
         eprintln!(
             "\n{} ({}, {}) failed verification:\n{}",
-            row.bound.constructor, row.bound.theorem, row.bound.geometry, row.report
+            row.label, row.bound.theorem, row.bound.geometry, row.report
         );
     }
     if failed.is_empty() {
@@ -267,13 +286,20 @@ mod tests {
     fn every_sweep_geometry_certifies() {
         let rows = build_rows().expect("all sweep geometries build");
         assert!(rows.len() >= 12, "sweep covers every constructor surface");
+        let mut seen = std::collections::HashSet::new();
         for row in &rows {
             assert!(
                 row.ok(),
                 "{} ({}) failed:\n{}",
-                row.bound.constructor,
+                row.label,
                 row.bound.geometry,
                 row.report
+            );
+            assert!(
+                seen.insert((row.label.as_str(), row.bound.geometry.as_str())),
+                "duplicate table row: {} {}",
+                row.label,
+                row.bound.geometry
             );
         }
         let table = render_table(&rows);

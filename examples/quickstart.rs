@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 2. A threshold circuit that multiplies two 4x4 integer matrices ------------
     // (kept at N = 4: the constant-depth construction buys depth with fan-in, so the
-    // circuit grows very quickly with N — see EXPERIMENTS.md E11 for the growth data.)
+    // circuit grows very quickly with N — `expt_e11_matmul` prints the growth data.)
     let n = 4;
     let config = CircuitConfig::new(strassen.clone(), 3);
     let mm = MatmulCircuit::theorem_4_9(&config, n, 2)?;
@@ -97,8 +97,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 4. Compile once, evaluate many: batched serving ----------------------------
-    // Every circuit above is already lowered to its compiled CSR form; batched entry
-    // points push up to 64 independent queries through one bit-sliced pass.
+    // Every circuit above is already lowered to its compiled CSR form; the batched
+    // entry point pushes independent queries through bit-sliced lane groups.
     let pairs: Vec<_> = (0..64)
         .map(|s| {
             (
@@ -112,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(c, &a.multiply_naive(b)?);
     }
     println!(
-        "\nBatched serving: {} matrix products through one 64-lane bit-sliced pass over {} gates.",
+        "\nBatched serving: {} matrix products through bit-sliced lane groups over {} gates.",
         products.len(),
         mm.circuit().num_gates()
     );

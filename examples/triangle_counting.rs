@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Subcubic trace circuit (Theorem 4.5 with d = 2).
     let config = CircuitConfig::binary(BilinearAlgorithm::strassen());
     let trace_circuit = TraceCircuit::theorem_4_5(&config, n_padded, 2, tau)?;
-    let circuit_answer = trace_circuit.evaluate_parallel(&adjacency)?;
+    let circuit_answer = trace_circuit.evaluate(&adjacency)?;
     println!(
         "Theorem 4.5     : gates = {:>8}, depth = {}, answer = {}",
         trace_circuit.circuit().num_gates(),

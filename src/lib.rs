@@ -16,8 +16,9 @@
 //! * [`runtime`] — the pluggable multi-backend serving runtime (wide bit-sliced
 //!   lanes, streaming batch scheduler, auto-tuned backend choice).
 //!
-//! See `examples/` for runnable end-to-end scenarios and `EXPERIMENTS.md` for the
-//! reproduction of every quantitative claim in the paper.
+//! See `examples/` for runnable end-to-end scenarios, and the `expt_e*` binaries of
+//! the `tcmm-bench` crate (listed in the README) for the reproduction of the paper's
+//! quantitative claims.
 
 #![warn(missing_docs)]
 

@@ -145,10 +145,8 @@ fn parallel_and_sequential_evaluation_agree_end_to_end() {
     let mm = MatmulCircuit::theorem_4_9(&config, 4, 2).unwrap();
     let a = random_matrix(4, 5, 71);
     let b = random_matrix(4, 5, 72);
-    assert_eq!(
-        mm.evaluate(&a, &b).unwrap(),
-        mm.evaluate_parallel(&a, &b).unwrap()
-    );
+    let batched = mm.evaluate_many(&[(a.clone(), b.clone())]).unwrap();
+    assert_eq!(batched, vec![mm.evaluate(&a, &b).unwrap()]);
 }
 
 #[test]
