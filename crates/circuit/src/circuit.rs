@@ -100,8 +100,9 @@ impl Circuit {
     ///
     /// For circuits that lower cleanly this includes the full compiled-IR
     /// verification of [`crate::verify`] — structural CSR invariants plus
-    /// the canonicalization certificates — along with advisory constant- and
-    /// dead-gate findings; invalid circuits fall back to gate-list analyses.
+    /// the translation check against this gate list — along with advisory
+    /// constant- and dead-gate findings; invalid circuits fall back to
+    /// gate-list analyses.
     pub fn validate(&self) -> VerifyReport {
         crate::verify::validate_circuit(self)
     }

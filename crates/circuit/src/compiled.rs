@@ -44,7 +44,6 @@
 //! assert_eq!((0..4).map(|l| ev.output(l, 0).unwrap() as u32).sum::<u32>(), 1);
 //! ```
 
-use crate::canon;
 use crate::eval::Evaluation;
 use crate::stats::CircuitStats;
 use crate::{Circuit, CircuitError, Result, Wire};
@@ -164,15 +163,8 @@ pub struct CompiledCircuit {
     pub(crate) classes: Vec<GateClass>,
     /// Maximal runs of equal class in internal order: `(class, lo, hi)`.
     pub(crate) segments: Vec<(GateClass, u32, u32)>,
-    /// Gates per class (`[Unit, Pow2, General]`), post-canonicalization —
-    /// the mix the kernel actually runs.
+    /// Gates per class (`[Unit, Pow2, General]`) — the mix the kernel runs.
     pub(crate) class_counts: [usize; 3],
-    /// Gates per class as classified from the *raw* builder weights, before
-    /// the canonicalization pass rewrote them (see `canon.rs`).
-    pub(crate) class_counts_pre: [usize; 3],
-    /// Gates whose compiled form differs from their raw form (GCD-factored
-    /// weights and/or a shorter signed-digit bit-edge decomposition).
-    pub(crate) canon_gates: usize,
     /// Plane-addition operations one batch pass performs per class:
     /// raw edges for `Unit`, bit-edges for `Pow2`/`General`.
     pub(crate) class_plane_ops: [u64; 3],
@@ -181,6 +173,18 @@ pub struct CompiledCircuit {
     pub(crate) perm: std::sync::Arc<[u32]>,
     /// Internal gate id → ORIGINAL gate id.
     pub(crate) inv: Vec<u32>,
+}
+
+/// Appends one bit-edge descriptor per set bit of `weight`'s magnitude to
+/// `out`: the shift in the low 6 bits, the weight's sign in bit 7.
+fn binary_digits(weight: i64, out: &mut Vec<u8>) {
+    let sign_bit = if weight < 0 { 0x80u8 } else { 0 };
+    let mut bits = weight.unsigned_abs();
+    while bits != 0 {
+        // lint:allow(narrowing-cast): trailing_zeros of a nonzero u64 is ≤ 63
+        out.push(bits.trailing_zeros() as u8 | sign_bit);
+        bits &= bits - 1;
+    }
 }
 
 #[inline]
@@ -228,24 +232,15 @@ impl CompiledCircuit {
 
         // ── Pass 1 (original order): validate fan-in wires, recompute
         // depths from the fan-ins (authoritative even for hand-assembled
-        // circuits), canonicalize weights (GCD factoring + CSD bit-edge
-        // recoding; see `canon.rs`), and classify every gate before and
-        // after the rewrite.
+        // circuits), and classify every gate from its weights and reach.
         let mut depths = vec![0u32; num_gates];
         let mut per_gate_planes = Vec::with_capacity(num_gates);
         let mut per_gate_narrow = Vec::with_capacity(num_gates);
         let mut per_gate_class = Vec::with_capacity(num_gates);
-        let mut per_gate_csd = Vec::with_capacity(num_gates);
-        let mut rewrites: Vec<Option<(Vec<i64>, i64)>> = Vec::with_capacity(num_gates);
-        let mut class_counts_pre = [0usize; 3];
-        let mut canon_gates = 0usize;
-        let mut wbuf: Vec<i64> = Vec::new();
-        let mut dbuf: Vec<canon::Digit> = Vec::new();
         for (idx, gate) in circuit.gates().iter().enumerate() {
             let mut pos_sum: i128 = 0;
             let mut neg_sum: i128 = 0;
             let mut depth_in = 0u32;
-            wbuf.clear();
             for &(wire, weight) in gate.inputs() {
                 let valid = match wire {
                     Wire::Input(i) => (i as usize) < num_inputs,
@@ -262,7 +257,6 @@ impl CompiledCircuit {
                 if let Wire::Gate(g) = wire {
                     depth_in = depth_in.max(depths[g as usize]);
                 }
-                wbuf.push(weight);
                 if weight >= 0 {
                     pos_sum += weight as i128;
                 } else {
@@ -270,63 +264,11 @@ impl CompiledCircuit {
                 }
             }
             depths[idx] = depth_in + 1;
-            let t = gate.threshold();
-
-            // Pre-canonicalization class: what the kernel would have run
-            // without the rewrite (observable via `class_counts_pre`).
-            let planes_pre = planes_for(pos_sum + neg_sum + (t.unsigned_abs() as i128));
-            let class_pre = GateClass::classify(wbuf.iter().copied(), planes_pre);
-            class_counts_pre[class_pre.index()] += 1;
-
-            // GCD factoring; `None` leaves the gate's weights untouched.
-            let rewrite = canon::canonical_gate(&wbuf, t);
-            let (cw, ct): (&[i64], i64) = match &rewrite {
-                Some((w, t)) => (w, *t),
-                None => (&wbuf, t),
-            };
-
-            // Recompute the sums from the canonical weights: these drive the
-            // scalar evaluator's narrow flag and the binary-emission reach.
-            let (mut pos_sum, mut neg_sum) = (0i128, 0i128);
-            // CSD digit-magnitude sums: what the kernel's pos/neg plane
-            // accumulators actually see under signed-digit emission (a
-            // positive weight's negative digit lands in the NEG planes).
-            let (mut pos_csd, mut neg_csd) = (0i128, 0i128);
-            let mut csd_shorter = false;
-            for &w in cw {
-                if w >= 0 {
-                    pos_sum += w as i128;
-                } else {
-                    neg_sum += -(w as i128);
-                }
-                let mag = w.unsigned_abs();
-                dbuf.clear();
-                canon::weight_digits(mag, &mut dbuf);
-                // lint:allow(narrowing-cast): a u64 magnitude has ≤ 64 digits
-                csd_shorter |= (dbuf.len() as u32) < mag.count_ones();
-                for &(shift, dneg) in &dbuf {
-                    if (w < 0) ^ dneg {
-                        neg_csd += 1i128 << shift;
-                    } else {
-                        pos_csd += 1i128 << shift;
-                    }
-                }
-            }
             per_gate_narrow.push(pos_sum <= i64::MAX as i128 && neg_sum <= i64::MAX as i128);
-            let planes_bin = planes_for(pos_sum + neg_sum + (ct.unsigned_abs() as i128));
-            let planes_csd = planes_for(pos_csd + neg_csd + (ct.unsigned_abs() as i128));
-            // Signed-digit recoding trades fewer bit-edges for a (possibly)
-            // larger digit-magnitude reach; fall back to plain binary for
-            // the whole gate if that trade would push it onto the wide path.
-            let use_csd = planes_csd != WIDE_GATE;
-            let planes = if use_csd { planes_csd } else { planes_bin };
-            per_gate_csd.push(use_csd);
+            let planes = planes_for(pos_sum + neg_sum + (gate.threshold().unsigned_abs() as i128));
             per_gate_planes.push(planes);
-            per_gate_class.push(GateClass::classify(cw.iter().copied(), planes));
-            if rewrite.is_some() || (use_csd && csd_shorter) {
-                canon_gates += 1;
-            }
-            rewrites.push(rewrite);
+            let weights = gate.inputs().iter().map(|&(_, w)| w);
+            per_gate_class.push(GateClass::classify(weights, planes));
         }
 
         // ── Layer schedule: ORIGINAL gate ids grouped by depth, ascending
@@ -391,21 +333,9 @@ impl CompiledCircuit {
         for &orig in &inv {
             let gate = &circuit.gates()[orig as usize];
             let class = per_gate_class[orig as usize];
-            let rewrite = &rewrites[orig as usize];
-            let use_csd = per_gate_csd[orig as usize];
-            let threshold = match rewrite {
-                Some((_, t)) => *t,
-                None => gate.threshold(),
-            };
             let mut emit = |sign: bool| {
                 let mut count = 0u32;
-                for (e, &(wire, raw)) in gate.inputs().iter().enumerate() {
-                    // Canonical weight (GCD-factored signs match the raw ones,
-                    // so the pos-first edge split is unchanged).
-                    let weight = match rewrite {
-                        Some((w, _)) => w[e],
-                        None => raw,
-                    };
+                for &(wire, weight) in gate.inputs() {
                     if (weight < 0) != sign {
                         continue;
                     }
@@ -417,28 +347,16 @@ impl CompiledCircuit {
                     if class == GateClass::Unit {
                         continue;
                     }
-                    // Decompose |weight| into bit-edges for the batch kernel:
-                    // signed digits (NAF) where strictly shorter, else one
-                    // edge per set bit. A digit's plane sign is the weight
-                    // sign flipped by the digit sign.
-                    dbuf.clear();
-                    if use_csd {
-                        canon::weight_digits(weight.unsigned_abs(), &mut dbuf);
-                    } else {
-                        canon::binary_digits(weight.unsigned_abs(), &mut dbuf);
-                    }
-                    for &(k, dneg) in &dbuf {
-                        let sign_bit = if (weight < 0) ^ dneg { 0x80u8 } else { 0 };
-                        bit_slots.push(slot);
-                        bit_shifts.push(k | sign_bit);
-                    }
+                    // One bit-edge per set bit of |weight| for the batch kernel.
+                    binary_digits(weight, &mut bit_shifts);
+                    bit_slots.resize(bit_shifts.len(), slot);
                 }
                 count
             };
             let pos = emit(false);
             emit(true);
             pos_counts.push(pos);
-            thresholds.push(threshold);
+            thresholds.push(gate.threshold());
             narrow.push(per_gate_narrow[orig as usize]);
             batch_planes.push(per_gate_planes[orig as usize]);
             classes.push(class);
@@ -503,8 +421,6 @@ impl CompiledCircuit {
             classes,
             segments,
             class_counts,
-            class_counts_pre,
-            canon_gates,
             class_plane_ops,
             perm: perm.into(),
             inv,
@@ -545,28 +461,11 @@ impl CompiledCircuit {
         self.classes[self.perm[gate_index] as usize]
     }
 
-    /// Gates per class, as `[Unit, Pow2, General]` counts — the
-    /// post-canonicalization mix the batch kernel dispatches on.
+    /// Gates per class, as `[Unit, Pow2, General]` counts — the mix the
+    /// batch kernel dispatches on.
     #[inline]
     pub fn class_counts(&self) -> [usize; 3] {
         self.class_counts
-    }
-
-    /// Gates per class as the *raw* builder weights would have classified,
-    /// before canonicalization (`[Unit, Pow2, General]`). Comparing against
-    /// [`CompiledCircuit::class_counts`] shows how many gates the rewrite
-    /// moved onto faster kernel segments.
-    #[inline]
-    pub fn class_counts_pre(&self) -> [usize; 3] {
-        self.class_counts_pre
-    }
-
-    /// Number of gates whose compiled form was changed by canonicalization
-    /// (GCD-factored weights and/or a strictly shorter signed-digit
-    /// bit-edge decomposition).
-    #[inline]
-    pub fn canonicalized_gates(&self) -> usize {
-        self.canon_gates
     }
 
     /// Plane-addition operations one bit-sliced batch pass performs per
@@ -617,9 +516,7 @@ impl CompiledCircuit {
 
     /// Per-gate fan-in `(slot-encoded wires, weights)` of gate `g` (original
     /// gate id). Edges are stored non-negative-weight first; the weighted
-    /// sum is order-invariant. Weights are the *canonical* (GCD-factored)
-    /// ones the evaluators actually use — pair with
-    /// [`CompiledCircuit::threshold`], which is factored consistently.
+    /// sum is order-invariant.
     #[inline]
     pub fn fan_in(&self, g: usize) -> (&[u32], &[i64]) {
         let i = self.perm[g] as usize;
@@ -628,8 +525,7 @@ impl CompiledCircuit {
         (&self.wires[lo..hi], &self.weights[lo..hi])
     }
 
-    /// Per-gate threshold (original gate id), in canonical (GCD-factored)
-    /// form — fires on exactly the same inputs as the builder gate.
+    /// Per-gate threshold (original gate id).
     #[inline]
     pub fn threshold(&self, g: usize) -> i64 {
         self.thresholds[self.perm[g] as usize]
@@ -654,8 +550,7 @@ impl CompiledCircuit {
         &self.schedule[lo as usize..hi as usize]
     }
 
-    /// The largest absolute weight used anywhere in the compiled circuit
-    /// (after canonicalization — never larger than the builder's).
+    /// The largest absolute weight used anywhere in the compiled circuit.
     pub fn max_abs_weight(&self) -> u64 {
         self.weights
             .iter()
@@ -899,8 +794,7 @@ mod tests {
 
     #[test]
     fn extreme_weights_take_the_wide_path() {
-        // Coprime near-extreme weights: GCD factoring cannot shrink them,
-        // so the gates genuinely exceed the plane budget.
+        // Near-extreme weights exceed the plane budget.
         let mut b = CircuitBuilder::new(2);
         let g = b
             .add_gate(
@@ -913,40 +807,34 @@ mod tests {
         let c = b.build();
         let cc = c.compile().unwrap();
         assert_eq!(cc.gate_class(0), GateClass::General);
-        // NAF would shorten MAX's 63 bit-edges but its digit reach exceeds
-        // the plane budget just like binary: the gate stays wide, unrecoded.
-        assert_eq!(cc.canonicalized_gates(), 0);
         let rows = [[false, false], [false, true], [true, false], [true, true]];
         assert_arena_matches_scalar(&cc, &rows);
     }
 
     #[test]
-    fn canonicalization_upgrades_classes_and_preserves_behaviour() {
+    fn classes_and_bit_edges_follow_the_raw_weights() {
         let mut b = CircuitBuilder::new(2);
         let x = Wire::input(0);
         let y = Wire::input(1);
-        // {+5, -5} factors to Unit; {+6, -12} to Pow2 {+1, -2};
-        // {+3, +7} is already canonical General (CSD shortens the 7).
-        let maj = b.add_gate([(x, 5), (y, -5)], 3).unwrap();
-        let pow = b.add_gate([(x, 6), (y, -12)], -6).unwrap();
+        let unit = b.add_gate([(x, 1), (y, -1)], 1).unwrap();
+        let pow = b.add_gate([(x, 4), (y, -2)], 2).unwrap();
         let gen = b.add_gate([(x, 3), (y, 7)], 7).unwrap();
-        b.mark_outputs([maj, pow, gen]);
+        // Weights are lowered as built: {+5, -5} is General.
+        let shared = b.add_gate([(x, 5), (y, -5)], 3).unwrap();
+        b.mark_outputs([unit, pow, gen, shared]);
         let c = b.build();
         let cc = c.compile().unwrap();
         assert_eq!(cc.gate_class(0), GateClass::Unit);
         assert_eq!(cc.gate_class(1), GateClass::Pow2);
         assert_eq!(cc.gate_class(2), GateClass::General);
-        assert_eq!(cc.class_counts_pre(), [0, 0, 3]);
-        assert_eq!(cc.class_counts(), [1, 1, 1]);
-        assert_eq!(cc.canonicalized_gates(), 3);
-        // Factored accessors stay behaviour-equivalent.
-        assert_eq!(cc.threshold(0), 1); // ⌈3/5⌉
-        assert_eq!(cc.threshold(1), -1); // ⌈-6/6⌉
+        assert_eq!(cc.gate_class(3), GateClass::General);
+        assert_eq!(cc.class_counts(), [1, 1, 2]);
+        assert_eq!(cc.threshold(3), 3);
+        assert_eq!(cc.fan_in(3).1, &[5, -5]);
         assert_eq!(cc.max_abs_weight(), 7);
-        // Unit gate contributes no bit-edges; Pow2 {+1,-2} one per edge
-        // (2 total); General {3, 7}: 3 keeps two binary edges, 7 recodes
-        // to two signed digits (8 - 1) instead of three (4 total).
-        assert_eq!(cc.num_bit_edges(), 2 + 4);
+        // One bit-edge per set bit: Unit 0, Pow2 {4, -2} 2, General {3, 7}
+        // 2 + 3, General {5, -5} 2 + 2.
+        assert_eq!(cc.num_bit_edges(), 2 + 5 + 4);
         let rows = [[false, false], [false, true], [true, false], [true, true]];
         for row in &rows {
             assert_eq!(c.evaluate(row).unwrap(), cc.evaluate(row).unwrap());

@@ -25,8 +25,8 @@
 //!   edge order), with no bit-edge indirection at all;
 //! * [`GateClass::Pow2`] — single-set-bit weights: exactly one shift-indexed
 //!   plane addition per edge;
-//! * [`GateClass::General`] — bit-edge decomposition (canonical signed-digit
-//!   form where that is shorter; see `canon.rs`), with the cold per-lane
+//! * [`GateClass::General`] — bit-edge decomposition (one plane addition
+//!   per set bit of each weight magnitude), with the cold per-lane
 //!   `i128` fallback for gates whose weight reach exceeds the plane budget.
 
 use crate::compiled::{CompiledCircuit, GateClass, FIRING_PLANES, WIDE_GATE};

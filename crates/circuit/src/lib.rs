@@ -65,7 +65,6 @@
 
 mod arena;
 mod builder;
-pub mod canon;
 mod circuit;
 mod compiled;
 mod dot;
@@ -80,7 +79,6 @@ mod wire;
 
 pub use arena::{ArenaEvaluation, PlaneArena};
 pub use builder::{CircuitBuilder, DedupPolicy};
-pub use canon::{canonical_gate, CANON_VERSION};
 pub use circuit::Circuit;
 pub use compiled::{CompiledCircuit, GateClass, ManyEvaluation, BATCH_LANES};
 pub use error::CircuitError;

@@ -50,16 +50,8 @@ pub struct CircuitStats {
     /// Gates per kernel dispatch class, as `[Unit, Pow2, General]` counts
     /// (see [`crate::GateClass`]). Unit gates — all weights ±1 — dominate
     /// the paper's majority-style constructions and take the fastest batch
-    /// path. Counts reflect the *post-canonicalization* classes the kernel
-    /// actually dispatches on.
+    /// path.
     pub class_counts: [usize; 3],
-    /// Gates per class as the raw builder weights would have classified,
-    /// before the canonicalization pass (see [`crate::canon`]). The delta
-    /// against [`CircuitStats::class_counts`] is the rewrite's coverage.
-    pub class_counts_pre: [usize; 3],
-    /// Gates whose compiled form was changed by canonicalization
-    /// (GCD-factored weights and/or shorter signed-digit bit-edges).
-    pub canonicalized_gates: usize,
     /// Statistics per depth layer, from layer 1 (reads inputs) to layer `depth`.
     pub layers: Vec<LayerStats>,
 }
@@ -105,8 +97,6 @@ impl CircuitStats {
             max_abs_weight: compiled.max_abs_weight(),
             outputs: compiled.num_outputs(),
             class_counts: compiled.class_counts(),
-            class_counts_pre: compiled.class_counts_pre(),
-            canonicalized_gates: compiled.canonicalized_gates(),
             layers,
         }
     }
@@ -144,10 +134,7 @@ impl CircuitStats {
             max_fan_in: circuit.max_fan_in(),
             max_abs_weight,
             outputs: circuit.outputs().len(),
-            // No compiled form, so no rewrite happened: pre == post.
             class_counts,
-            class_counts_pre: class_counts,
-            canonicalized_gates: 0,
             layers,
         }
     }
@@ -158,7 +145,7 @@ impl fmt::Display for CircuitStats {
         writeln!(
             f,
             "inputs={} gates={} depth={} edges={} max_fan_in={} max_|w|={} outputs={} \
-             classes=unit:{}/pow2:{}/general:{} (pre-canon {}/{}/{}, {} rewritten)",
+             classes=unit:{}/pow2:{}/general:{}",
             self.inputs,
             self.size,
             self.depth,
@@ -168,11 +155,7 @@ impl fmt::Display for CircuitStats {
             self.outputs,
             self.class_counts[0],
             self.class_counts[1],
-            self.class_counts[2],
-            self.class_counts_pre[0],
-            self.class_counts_pre[1],
-            self.class_counts_pre[2],
-            self.canonicalized_gates
+            self.class_counts[2]
         )?;
         for l in &self.layers {
             writeln!(

@@ -122,9 +122,8 @@ proptest! {
 
     /// Translation validation holds on every compile: random circuits lower
     /// to artifacts the independent verifier certifies — structural CSR
-    /// invariants standalone, and the canonicalization certificates (GCD
-    /// factor, ceiling-quotient threshold, signed-digit sums) against the
-    /// source gates.
+    /// invariants standalone, and the translation check (wiring, weights,
+    /// thresholds, binary bit-edge runs) against the source gates.
     #[test]
     fn compiled_circuits_pass_the_verifier((num_inputs, spec) in random_circuit_spec(),
                                            dedup in any::<bool>()) {

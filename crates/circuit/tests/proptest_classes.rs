@@ -73,20 +73,13 @@ proptest! {
             if s < 0 { -mag } else { mag }
         });
         let compiled = circuit.compile().unwrap();
-        // Every gate is General as built; canonicalization may still factor
-        // a shared magnitude out (e.g. all weights ±5) and upgrade the gate,
-        // so assert purity on the pre-canonicalization mix and consistency
-        // on the compiled (canonical) weights.
-        prop_assert_eq!(
-            compiled.class_counts_pre(),
-            [0, 0, compiled.num_gates()],
-            "every gate must be General before canonicalization"
-        );
+        prop_assert_eq!(compiled.class_counts(), [0, 0, compiled.num_gates()]);
         for g in 0..compiled.num_gates() {
-            let (_, weights) = compiled.fan_in(g);
-            let expected = if weights.iter().all(|&w| w.unsigned_abs() == 1) {
+            // Expected class from the raw builder weights.
+            let raw = circuit.gates()[g].inputs().iter().map(|&(_, w)| w);
+            let expected = if raw.clone().all(|w| w.unsigned_abs() == 1) {
                 GateClass::Unit
-            } else if weights.iter().all(|&w| w != 0 && w.unsigned_abs().is_power_of_two()) {
+            } else if raw.clone().all(|w| w != 0 && w.unsigned_abs().is_power_of_two()) {
                 GateClass::Pow2
             } else {
                 GateClass::General
@@ -115,17 +108,12 @@ proptest! {
         });
         let compiled = circuit.compile().unwrap();
         // Permutation consistency: per-gate accessors agree with the source
-        // circuit after canonicalization (the compiled form GCD-factors
-        // shared weight magnitudes; fan-in edges are reordered
-        // positives-first, so compare as weight multisets).
+        // circuit (fan-in edges are reordered positives-first, so compare
+        // as weight multisets).
         for g in 0..compiled.num_gates() {
-            let raw: Vec<i64> =
+            let mut want: Vec<i64> =
                 circuit.gates()[g].inputs().iter().map(|&(_, w)| w).collect();
-            let (mut want, want_t) =
-                match tc_circuit::canonical_gate(&raw, circuit.gates()[g].threshold()) {
-                    Some((w, t)) => (w, t),
-                    None => (raw, circuit.gates()[g].threshold()),
-                };
+            let want_t = circuit.gates()[g].threshold();
             prop_assert_eq!(compiled.threshold(g), want_t, "gate {} threshold", g);
             prop_assert_eq!(compiled.gate_depth(g), circuit.gate_depth(g));
             let (_, weights) = compiled.fan_in(g);

@@ -382,9 +382,8 @@ pub(crate) struct SessionShared<'a> {
     consume: OrderedMutex<ConsumeState>,
     pool: OrderedMutex<ResponsePool>,
     inline_scratch: OrderedMutex<InlineScratch>,
-    /// The served circuit's post-canonicalization class mix (`[Unit, Pow2,
-    /// General]`): telemetry must report the classes the kernel actually
-    /// dispatches, not the raw builder weights' classes.
+    /// The served circuit's class mix (`[Unit, Pow2, General]`): telemetry
+    /// reports the classes the kernel dispatches on.
     class_counts: [usize; 3],
     /// Responses handed to the consumer (for the in-flight depth gauge).
     delivered: AtomicU64,

@@ -360,9 +360,7 @@ pub struct TelemetrySummary {
     pub gate_evals: u64,
     /// Gate evaluations split by kernel dispatch class, as
     /// `[Unit, Pow2, General]` (see [`tc_circuit::GateClass`]) — the class
-    /// mix of everything served, weighted by request count. Classes are the
-    /// *post-canonicalization* ones the kernel dispatches on (a gate whose
-    /// weights factored from `{±5}` down to `{±1}` counts as `Unit` here).
+    /// mix of everything served, weighted by request count.
     pub class_gate_evals: [u64; 3],
     /// Total gate firings (the Uchizawa–Douglas–Maass energy, in spikes).
     pub firings: u64,
@@ -816,7 +814,7 @@ impl TelemetrySummary {
             &mut out,
             "tcmm_class_gate_evals_total",
             "counter",
-            "Gate evaluations by post-canonicalization kernel class.",
+            "Gate evaluations by kernel dispatch class.",
         );
         for (class, value) in ["unit", "pow2", "general"]
             .iter()

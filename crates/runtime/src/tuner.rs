@@ -6,8 +6,8 @@
 //! one — so the tuner *measures*: it times one lane group per candidate
 //! backend on deterministic probe inputs, extrapolates to the requested
 //! batch size, and caches the winner keyed by a circuit fingerprint (gates,
-//! bit-edges, inputs, the per-class gate counts, and the weight
-//! canonicalization version) and the power-of-two batch bucket. Serving traffic never re-probes, and
+//! bit-edges, inputs and the per-class gate counts) and the power-of-two
+//! batch bucket. Serving traffic never re-probes, and
 //! [`AutoTuner::save_json`] / [`AutoTuner::load_json`] round-trip the cache
 //! to disk so repeated serving deployments warm-start without a single
 //! calibration run.
@@ -47,11 +47,6 @@ struct TuneKey {
     unit_gates: usize,
     pow2_gates: usize,
     bucket: u32,
-    /// [`tc_circuit::CANON_VERSION`] at fingerprint time: a compiled form
-    /// produced under different canonicalization rules has different class
-    /// mixes and bit-edge counts, so persisted decisions keyed under an
-    /// older version must not be reused.
-    canon: u32,
 }
 
 impl TuneKey {
@@ -64,7 +59,6 @@ impl TuneKey {
             unit_gates,
             pow2_gates,
             bucket: bucket(batch),
-            canon: tc_circuit::CANON_VERSION,
         }
     }
 }
@@ -203,14 +197,13 @@ impl AutoTuner {
                 json,
                 "\n    {{\"gates\": {}, \"bit_edges\": {}, \"inputs\": {}, \
                  \"unit_gates\": {}, \"pow2_gates\": {}, \"bucket\": {}, \
-                 \"canon\": {}, \"backend\": \"{}\"}}",
+                 \"backend\": \"{}\"}}",
                 key.gates,
                 key.bit_edges,
                 key.inputs,
                 key.unit_gates,
                 key.pow2_gates,
                 key.bucket,
-                key.canon,
                 backend.caps().name
             );
         }
@@ -246,13 +239,6 @@ impl AutoTuner {
                         // one: a plain `as u32` would truncate it onto some
                         // *other* bucket and adopt a wrong-bucket decision.
                         bucket: u32::try_from(json_usize(obj, "bucket")?).ok()?,
-                        // Files written before the canonicalization pass (or
-                        // under different rewrite rules) carry no / another
-                        // `canon` and are skipped: their fingerprints
-                        // describe compiled forms that no longer exist.
-                        canon: u32::try_from(json_usize(obj, "canon")?)
-                            .ok()
-                            .filter(|&v| v == tc_circuit::CANON_VERSION)?,
                     },
                     json_str(obj, "backend")?,
                 ))
@@ -412,33 +398,29 @@ mod tests {
     fn unknown_backends_in_a_saved_cache_are_skipped() {
         let registry = BackendRegistry::standard();
         let path = std::env::temp_dir().join("tcmm_tuner_unknown_backend_test.json");
-        let canon = tc_circuit::CANON_VERSION;
         std::fs::write(
             &path,
-            format!(
-                r#"{{
+            r#"{
   "version": 2,
   "entries": [
-    {{"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 10, "canon": {canon}, "backend": "gpu"}},
-    {{"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 2, "canon": {canon}, "backend": "scalar"}},
-    {{"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 4294967296, "canon": {canon}, "backend": "scalar"}},
-    {{"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 99999999999999, "canon": {canon}, "backend": "scalar"}},
-    {{"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 3, "canon": 999, "backend": "scalar"}},
-    {{"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 4, "backend": "scalar"}},
-    {{"gates": 1, "inputs": 2, "backend": "scalar"}}
+    {"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 10, "backend": "gpu"},
+    {"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 2, "backend": "scalar"},
+    {"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 4294967296, "backend": "scalar"},
+    {"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 99999999999999, "backend": "scalar"},
+    {"gates": 1, "bit_edges": 0, "inputs": 2, "unit_gates": 1, "pow2_gates": 0, "bucket": 3, "canon": 1, "backend": "scalar"},
+    {"gates": 1, "inputs": 2, "backend": "scalar"}
   ]
-}}"#
-            ),
+}"#,
         )
         .unwrap();
         let tuner = AutoTuner::new();
-        // One well-formed known-backend entry adopted; the unknown backend,
-        // the out-of-range buckets (> u32::MAX — a plain cast would truncate
-        // 2^32 onto bucket 0), the stale and missing canonicalization
-        // versions (pre-canon caches describe compiled forms that no longer
-        // exist), and the malformed entry are all skipped.
-        assert_eq!(tuner.load_json(&registry, &path).unwrap(), 1);
-        assert_eq!(tuner.cached_decisions(), 1);
+        // Two well-formed known-backend entries adopted, one of them written
+        // by older versions with a `canon` key that is now ignored (the
+        // fingerprint fields it sat beside are unchanged). The unknown
+        // backend, the out-of-range buckets (> u32::MAX — a plain cast would
+        // truncate 2^32 onto bucket 0) and the malformed entry are skipped.
+        assert_eq!(tuner.load_json(&registry, &path).unwrap(), 2);
+        assert_eq!(tuner.cached_decisions(), 2);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -22,7 +22,7 @@
 //!    `REQUIRED_FAMILIES` gate *and* documented in the README, so a new
 //!    metric cannot ship unvalidated or undocumented.
 //! 5. **narrowing-cast** — the circuit lowering and kernel files
-//!    (`crates/circuit/src/{compiled,kernel,canon,arena}.rs`) must not use
+//!    (`crates/circuit/src/{compiled,kernel,arena}.rs`) must not use
 //!    bare `as` casts to sized integer types (`u8`…`u64`, `i8`…`i64`):
 //!    these silently truncate or wrap, and a wrong slot id or plane count
 //!    corrupts the CSR arrays the evaluators trust. Casts to
@@ -465,9 +465,9 @@ fn check_no_panic(path: &Path, lines: &[Line]) -> Vec<Finding> {
 const NARROWING_TARGETS: &[&str] = &["u8", "u16", "u32", "u64", "i8", "i16", "i32", "i64"];
 
 /// Files the narrowing-cast rule is scoped to: the circuit lowering +
-/// kernel quartet, where a truncated slot id or plane count silently
+/// kernel trio, where a truncated slot id or plane count silently
 /// corrupts evaluation.
-const NARROWING_SCOPE: &[&str] = &["compiled.rs", "kernel.rs", "canon.rs", "arena.rs"];
+const NARROWING_SCOPE: &[&str] = &["compiled.rs", "kernel.rs", "arena.rs"];
 
 /// The banned cast targets appearing on one code line, in order.
 fn cast_targets(code: &str) -> Vec<&'static str> {

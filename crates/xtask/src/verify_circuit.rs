@@ -6,8 +6,8 @@
 //! plans for an im2col product — then, for each:
 //!
 //! 1. runs the independent checker ([`tc_circuit::verify_against`]):
-//!    structural CSR invariants plus the canonicalization translation
-//!    validation;
+//!    structural CSR invariants plus the translation check of every gate's
+//!    wiring, weights, threshold and bit-edges against the source;
 //! 2. certifies the constructor's closed-form paper bound
 //!    ([`tc_circuit::PaperBound::certify`]) against the compiled artifact.
 //!
