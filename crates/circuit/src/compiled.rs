@@ -9,22 +9,40 @@
 //! * one contiguous *slot* space — slot `0` is the constant-one wire, slots
 //!   `1..=I` the primary inputs, slots `I+1..` the gates — so every evaluator
 //!   reads values from a single flat array with `u32` indices;
-//! * per-gate fan-in offsets into contiguous `wires` / `weights` arrays;
-//! * an internal gate numbering sorted by `(depth, gate class)` so each depth
-//!   layer occupies a contiguous slot range and the batch kernel runs
-//!   straight-line loops per [`GateClass`] segment (public accessors keep
-//!   speaking original gate ids; the permutation is invisible outside);
-//! * per-gate *bit-edges* — each weight decomposed into its set bits — for
-//!   [`GateClass::Pow2`] and [`GateClass::General`] gates only;
-//!   [`GateClass::Unit`] gates (all weights ±1, the majority-style gates that
-//!   dominate the paper's constructions) are evaluated straight off the raw
-//!   CSR edges with their positive edges ordered first.
+//! * one CSR *row* per distinct weighted sum. Each gate's fan-in is put in
+//!   canonical order (non-negative weights first, then ascending slot), and
+//!   gates of one [`GateClass`] whose fan-in is the same `(slot, weight)`
+//!   multiset share a row: together they form a *bank*, many thresholds
+//!   `[S ≥ t_j]` on one sum `S` — the shape of the paper's Lemma 3.1/3.2
+//!   blocks. Rows hold `wires`/`weights`, the non-negative edge count, the
+//!   narrow (i64-safe) flag, the bank's plane budget (the largest its
+//!   members need) and, for [`GateClass::Pow2`] and [`GateClass::General`]
+//!   rows only, the *bit-edges* (each weight decomposed into its set bits);
+//!   [`GateClass::Unit`] rows (all weights ±1) are evaluated straight off the
+//!   raw edges;
+//! * per gate only a threshold, a class and a row index, in an internal
+//!   numbering sorted by `(depth, class, row, original id)`: each depth layer
+//!   is a contiguous slot range, each class a straight-line kernel segment,
+//!   and each bank a contiguous run of gates. Public accessors keep speaking
+//!   original gate ids; the permutation is invisible outside.
 //!
-//! The scalar oracle [`CompiledCircuit::evaluate`] and the width-generic
-//! bit-sliced kernel behind [`CompiledCircuit::evaluate_rows_arena`] (see
-//! `kernel.rs` and `arena.rs`) produce bit-identical [`Evaluation`]s (and
-//! firing counts) for the same inputs; the differential proptest suites in
-//! `tests/proptest_compiled.rs` and `tests/proptest_classes.rs` assert this
+//! ## Source form and evaluated work
+//!
+//! Banks change what a pass *computes*, not what the circuit *is*: gate ids,
+//! outputs, firing counts and the per-gate accessors ([`CompiledCircuit::fan_in`],
+//! [`CompiledCircuit::num_edges`], [`CompiledCircuit::max_fan_in`],
+//! [`CompiledCircuit::class_plane_ops`]) report the source circuit, as if
+//! every gate summed its own fan-in — which the scalar oracle
+//! [`CompiledCircuit::evaluate`] still does. The stored arrays
+//! ([`CompiledCircuit::num_banks`], [`CompiledCircuit::num_evaluated_edges`],
+//! [`CompiledCircuit::num_bit_edges`]) and
+//! [`CompiledCircuit::evaluated_plane_ops`] report what the bit-sliced
+//! kernel does per pass: each bank's row once.
+//!
+//! The scalar oracle and the width-generic bit-sliced kernel behind
+//! [`CompiledCircuit::evaluate_rows_arena`] (see `kernel.rs` and `arena.rs`)
+//! produce bit-identical [`Evaluation`]s (and firing counts) for the same
+//! inputs; the differential proptest suites under `tests/` assert this
 //! gate-for-gate at every lane width.
 //!
 //! ## Compile once, evaluate many
@@ -119,25 +137,44 @@ impl GateClass {
 /// behind one API.
 ///
 /// Internally gates are renumbered so that each depth layer is a contiguous
-/// slot range and, inside a layer, gates of the same [`GateClass`] are
-/// adjacent. Every public accessor and every returned [`Evaluation`] speaks
-/// *original* gate ids; `perm`/`inv` translate at the boundary.
+/// slot range and, inside a layer, gates sort by ([`GateClass`], row,
+/// original id): same-class gates are adjacent and every bank (the gates
+/// sharing one fan-in row) is a contiguous run. Every public accessor and
+/// every returned [`Evaluation`] speaks *original* gate ids; `perm`/`inv`
+/// translate at the boundary.
 #[derive(Debug, Clone)]
 pub struct CompiledCircuit {
     pub(crate) num_inputs: usize,
-    /// Gate fan-in offsets (internal order): edges of internal gate `g` are
-    /// `offsets[g]..offsets[g+1]`.
+    /// Row fan-in offsets: the edges of row `r` are
+    /// `offsets[r]..offsets[r+1]`.
     pub(crate) offsets: Vec<u32>,
-    /// Slot-encoded fan-in wires, contiguous across gates. Within each gate
-    /// the non-negative-weight edges come first (see `pos_counts`).
+    /// Slot-encoded fan-in wires, contiguous across rows. Each row is in
+    /// canonical order: non-negative weights first (see `pos_counts`), then
+    /// ascending slot.
     pub(crate) wires: Vec<u32>,
     /// Fan-in weights, parallel to `wires`.
     pub(crate) weights: Vec<i64>,
-    /// Per-gate count of leading non-negative-weight edges (internal order);
-    /// the `Unit` kernel splits its pos/neg accumulation at this point.
+    /// Per-row count of leading non-negative-weight edges; the `Unit`
+    /// kernel splits its pos/neg accumulation at this point.
     pub(crate) pos_counts: Vec<u32>,
+    /// Per-row flag: the weighted sum provably fits `i64`.
+    pub(crate) narrow: Vec<bool>,
+    /// Per-row bit-edge offsets (`Unit` rows span zero bit-edges).
+    pub(crate) bit_offsets: Vec<u32>,
+    /// Slot of each bit-edge.
+    pub(crate) bit_slots: Vec<u32>,
+    /// Packed bit-edge descriptor: low 6 bits = shift, bit 7 = negative sign.
+    pub(crate) bit_shifts: Vec<u8>,
+    /// Per-row plane budget of the batch kernel — the largest any member of
+    /// the row's bank needs — or [`WIDE_GATE`].
+    pub(crate) batch_planes: Vec<u8>,
+    /// Per-gate row index (internal order); non-decreasing inside each
+    /// class segment, so a bank is a maximal run of equal entries.
+    pub(crate) gate_rows: Vec<u32>,
     /// Per-gate firing thresholds (internal order).
     pub(crate) thresholds: Vec<i64>,
+    /// Per-gate class (internal order).
+    pub(crate) classes: Vec<GateClass>,
     /// Per-gate depth (1-based), in ORIGINAL gate order.
     pub(crate) depths: Vec<u32>,
     /// ORIGINAL gate ids grouped by depth layer; `layer_ranges[d]` indexes
@@ -149,25 +186,17 @@ pub struct CompiledCircuit {
     pub(crate) layer_ranges: Vec<(u32, u32)>,
     /// Slot-encoded designated outputs.
     pub(crate) outputs: Vec<u32>,
-    /// Per-gate flag (internal order): the weighted sum provably fits `i64`.
-    pub(crate) narrow: Vec<bool>,
-    /// Bit-edge offsets (internal order; `Unit` gates span zero bit-edges).
-    pub(crate) bit_offsets: Vec<u32>,
-    /// Slot of each bit-edge.
-    pub(crate) bit_slots: Vec<u32>,
-    /// Packed bit-edge descriptor: low 6 bits = shift, bit 7 = negative sign.
-    pub(crate) bit_shifts: Vec<u8>,
-    /// Planes needed by the batch kernel per gate, or [`WIDE_GATE`].
-    pub(crate) batch_planes: Vec<u8>,
-    /// Per-gate class (internal order).
-    pub(crate) classes: Vec<GateClass>,
     /// Maximal runs of equal class in internal order: `(class, lo, hi)`.
     pub(crate) segments: Vec<(GateClass, u32, u32)>,
     /// Gates per class (`[Unit, Pow2, General]`) — the mix the kernel runs.
     pub(crate) class_counts: [usize; 3],
-    /// Plane-addition operations one batch pass performs per class:
-    /// raw edges for `Unit`, bit-edges for `Pow2`/`General`.
+    /// Source-form plane-addition operations per class, as if every gate
+    /// summed its own row: raw edges for `Unit`, bit-edges for
+    /// `Pow2`/`General`.
     pub(crate) class_plane_ops: [u64; 3],
+    /// Plane-addition operations one batch pass performs per class: the
+    /// same units, counted once per bank.
+    pub(crate) evaluated_plane_ops: [u64; 3],
     /// ORIGINAL gate id → internal gate id. Shared (`Arc`) so evaluations
     /// that must translate slots back to original ids borrow it for free.
     pub(crate) perm: std::sync::Arc<[u32]>,
@@ -185,6 +214,165 @@ fn binary_digits(weight: i64, out: &mut Vec<u8>) {
         out.push(bits.trailing_zeros() as u8 | sign_bit);
         bits &= bits - 1;
     }
+}
+
+/// The per-row CSR arrays [`CompiledCircuit::new`] emits, one row per bank
+/// (see the fields of the same names on [`CompiledCircuit`]).
+struct RowCsr {
+    offsets: Vec<u32>,
+    wires: Vec<u32>,
+    weights: Vec<i64>,
+    pos_counts: Vec<u32>,
+    narrow: Vec<bool>,
+    bit_offsets: Vec<u32>,
+    bit_slots: Vec<u32>,
+    bit_shifts: Vec<u8>,
+    batch_planes: Vec<u8>,
+}
+
+impl Default for RowCsr {
+    fn default() -> Self {
+        RowCsr {
+            offsets: vec![0],
+            wires: Vec::new(),
+            weights: Vec::new(),
+            pos_counts: Vec::new(),
+            narrow: Vec::new(),
+            bit_offsets: vec![0],
+            bit_slots: Vec::new(),
+            bit_shifts: Vec::new(),
+            batch_planes: Vec::new(),
+        }
+    }
+}
+
+impl RowCsr {
+    fn len(&self) -> usize {
+        self.pos_counts.len()
+    }
+
+    /// `true` when row `r` holds exactly the canonical edge list `canon`.
+    fn holds(&self, r: u32, canon: &[(bool, u32, i64)]) -> bool {
+        let (lo, hi) = (
+            self.offsets[r as usize] as usize,
+            self.offsets[r as usize + 1] as usize,
+        );
+        canon.len() == hi - lo
+            && canon
+                .iter()
+                .zip(&self.wires[lo..hi])
+                .zip(&self.weights[lo..hi])
+                .all(|((&(_, slot, w), &s), &v)| slot == s && w == v)
+    }
+
+    /// Appends the canonical edge list `canon` as a new row of `class`
+    /// (bit-edges only for `Pow2`/`General`) with a zero plane budget, which
+    /// its members raise; returns the row id.
+    fn push(&mut self, canon: &[(bool, u32, i64)], class: GateClass) -> u32 {
+        // lint:allow(narrowing-cast): rows never outnumber gates, which fit the u32 slot space
+        let r = self.len() as u32;
+        let (mut pos, mut pos_sum, mut neg_sum) = (0u32, 0i128, 0i128);
+        for &(neg, slot, w) in canon {
+            self.wires.push(slot);
+            self.weights.push(w);
+            if neg {
+                neg_sum -= w as i128;
+            } else {
+                pos += 1;
+                pos_sum += w as i128;
+            }
+            if class != GateClass::Unit {
+                // One bit-edge per set bit of |w|.
+                binary_digits(w, &mut self.bit_shifts);
+                self.bit_slots.resize(self.bit_shifts.len(), slot);
+            }
+        }
+        self.pos_counts.push(pos);
+        self.narrow
+            .push(pos_sum <= i64::MAX as i128 && neg_sum <= i64::MAX as i128);
+        self.batch_planes.push(0);
+        // lint:allow(narrowing-cast): edge counts share the u32 CSR index space
+        self.offsets.push(self.wires.len() as u32);
+        // lint:allow(narrowing-cast): bit-edge counts share the u32 CSR index space
+        self.bit_offsets.push(self.bit_slots.len() as u32);
+        r
+    }
+
+    /// Plane additions row `r` costs one pass: its raw edges when `Unit`,
+    /// its bit-edges otherwise.
+    fn plane_ops(&self, class: GateClass, r: u32) -> u64 {
+        let r = r as usize;
+        let (lo, hi) = match class {
+            GateClass::Unit => (self.offsets[r], self.offsets[r + 1]),
+            _ => (self.bit_offsets[r], self.bit_offsets[r + 1]),
+        };
+        u64::from(hi - lo)
+    }
+}
+
+/// Dedup table of one (layer, class) group, chained through flat arrays:
+/// `buckets[hash & mask]` holds the newest row of that bucket and
+/// `chain[row]` the next older one. Candidates are compared against the
+/// CSR already written, so no row is held twice.
+#[derive(Default)]
+struct RowTable {
+    buckets: Vec<u32>,
+    chain: Vec<u32>,
+    mask: usize,
+}
+
+impl RowTable {
+    /// Empties the table for a group of `gates` gates (at most one new row
+    /// each), keeping the load factor at or below one half.
+    fn reset(&mut self, gates: usize) {
+        self.mask = (2 * gates).next_power_of_two() - 1;
+        self.buckets.clear();
+        self.buckets.resize(self.mask + 1, NO_ROW);
+    }
+
+    fn bucket(&self, hash: u64) -> usize {
+        // lint:allow(narrowing-cast): masked to a bucket index within the table
+        hash as usize & self.mask
+    }
+
+    /// The row of this group holding `canon`, if any.
+    fn find(&self, rows: &RowCsr, hash: u64, canon: &[(bool, u32, i64)]) -> Option<u32> {
+        let mut r = self.buckets[self.bucket(hash)];
+        while r != NO_ROW {
+            if rows.holds(r, canon) {
+                return Some(r);
+            }
+            r = self.chain[r as usize];
+        }
+        None
+    }
+
+    /// Records the newly pushed row `r` (rows are pushed in id order, so
+    /// `chain` is indexed by row id).
+    fn insert(&mut self, hash: u64, r: u32) {
+        let bucket = self.bucket(hash);
+        debug_assert_eq!(self.chain.len(), r as usize);
+        self.chain.push(self.buckets[bucket]);
+        self.buckets[bucket] = r;
+    }
+}
+
+/// An empty dedup bucket, or the end of a bucket's chain.
+const NO_ROW: u32 = u32::MAX;
+
+/// Multiply-rotate hash of a canonical row (the FxHash step), cheap enough
+/// to run on every unshared gate of a paper-scale circuit. A multiply only
+/// carries upward, so the final fold moves the mixed high bits into the low
+/// bits the dedup buckets are indexed by.
+fn row_hash(row: &[(bool, u32, i64)]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let h = row.iter().fold(0, |h, &(_, slot, w)| {
+        // The weight's sign is `neg`, so (slot, weight) is the whole edge.
+        // lint:allow(narrowing-cast): reinterprets the weight's bits for hashing only
+        step(step(h, u64::from(slot)), w as u64)
+    });
+    h ^ (h >> 32)
 }
 
 #[inline]
@@ -234,12 +422,10 @@ impl CompiledCircuit {
         // depths from the fan-ins (authoritative even for hand-assembled
         // circuits), and classify every gate from its weights and reach.
         let mut depths = vec![0u32; num_gates];
-        let mut per_gate_planes = Vec::with_capacity(num_gates);
-        let mut per_gate_narrow = Vec::with_capacity(num_gates);
-        let mut per_gate_class = Vec::with_capacity(num_gates);
+        let mut gate_planes = Vec::with_capacity(num_gates);
+        let mut gate_class = Vec::with_capacity(num_gates);
         for (idx, gate) in circuit.gates().iter().enumerate() {
-            let mut pos_sum: i128 = 0;
-            let mut neg_sum: i128 = 0;
+            let mut reach: i128 = 0;
             let mut depth_in = 0u32;
             for &(wire, weight) in gate.inputs() {
                 let valid = match wire {
@@ -257,18 +443,13 @@ impl CompiledCircuit {
                 if let Wire::Gate(g) = wire {
                     depth_in = depth_in.max(depths[g as usize]);
                 }
-                if weight >= 0 {
-                    pos_sum += weight as i128;
-                } else {
-                    neg_sum += -(weight as i128);
-                }
+                reach += weight.unsigned_abs() as i128;
             }
             depths[idx] = depth_in + 1;
-            per_gate_narrow.push(pos_sum <= i64::MAX as i128 && neg_sum <= i64::MAX as i128);
-            let planes = planes_for(pos_sum + neg_sum + (gate.threshold().unsigned_abs() as i128));
-            per_gate_planes.push(planes);
+            let planes = planes_for(reach + (gate.threshold().unsigned_abs() as i128));
+            gate_planes.push(planes);
             let weights = gate.inputs().iter().map(|&(_, w)| w);
-            per_gate_class.push(GateClass::classify(weights, planes));
+            gate_class.push(GateClass::classify(weights, planes));
         }
 
         // ── Layer schedule: ORIGINAL gate ids grouped by depth, ascending
@@ -293,84 +474,81 @@ impl CompiledCircuit {
             *c += 1;
         }
 
-        // ── Internal numbering: depth-major (so every layer is a contiguous
-        // internal range — `layer_ranges` doubles as the internal ranges),
-        // class-sorted inside each layer so the batch kernel's class
-        // segments are maximal straight-line runs. Topological soundness
-        // holds because a fan-in gate always has strictly smaller depth.
-        let mut inv = schedule.clone();
-        for &(lo, hi) in &layer_ranges {
-            inv[lo as usize..hi as usize].sort_by_key(|&g| (per_gate_class[g as usize].index(), g));
-        }
+        // ── Pass 2, one layer at a time: bank the gates and emit the rows.
+        // Every fan-in sits in an earlier layer, whose slots are final by
+        // then. A layer's gates are visited in (class, original id) order;
+        // each gate's fan-in is put in canonical order and looked up among
+        // the rows of its (layer, class) group — a match joins that row's
+        // bank, a miss appends a new row. Rows are numbered in visiting
+        // order, so sorting the layer by (row, original id) yields the
+        // (class, row, original id) internal order with every bank
+        // contiguous. Topological soundness holds because a fan-in gate
+        // always has strictly smaller depth.
         let mut perm = vec![0u32; num_gates];
-        for (internal, &orig) in inv.iter().enumerate() {
-            // lint:allow(narrowing-cast): internal ids fit the u32 slot space checked at entry
-            perm[orig as usize] = internal as u32;
-        }
-
-        // ── Pass 2 (internal order): build the CSR arrays. Edges are
-        // reordered non-negative-weight first (the sum is order-invariant;
-        // the `Unit` kernel needs the split point), and bit-edges are only
-        // emitted for `Pow2`/`General` gates — `Unit` gates are evaluated
-        // straight off the raw edges.
-        let num_edges = circuit.num_edges();
-        let mut offsets = Vec::with_capacity(num_gates + 1);
-        let mut wires = Vec::with_capacity(num_edges);
-        let mut weights = Vec::with_capacity(num_edges);
-        let mut pos_counts = Vec::with_capacity(num_gates);
+        let mut inv = Vec::with_capacity(num_gates);
+        let mut gate_rows = Vec::with_capacity(num_gates);
         let mut thresholds = Vec::with_capacity(num_gates);
-        let mut narrow = Vec::with_capacity(num_gates);
-        let mut bit_offsets = Vec::with_capacity(num_gates + 1);
-        let mut bit_slots = Vec::new();
-        let mut bit_shifts = Vec::new();
-        let mut batch_planes = Vec::with_capacity(num_gates);
         let mut classes = Vec::with_capacity(num_gates);
+        let mut rows = RowCsr::default();
+        let mut table = RowTable::default();
         let mut class_counts = [0usize; 3];
         let mut class_plane_ops = [0u64; 3];
-
-        offsets.push(0u32);
-        bit_offsets.push(0u32);
-        for &orig in &inv {
-            let gate = &circuit.gates()[orig as usize];
-            let class = per_gate_class[orig as usize];
-            let mut emit = |sign: bool| {
-                let mut count = 0u32;
-                for &(wire, weight) in gate.inputs() {
-                    if (weight < 0) != sign {
-                        continue;
-                    }
-                    count += 1;
-                    // lint:allow(narrowing-cast): slots fit the u32 space checked at entry
-                    let slot = slot_of(wire, num_inputs, &perm) as u32;
-                    wires.push(slot);
-                    weights.push(weight);
-                    if class == GateClass::Unit {
-                        continue;
-                    }
-                    // One bit-edge per set bit of |weight| for the batch kernel.
-                    binary_digits(weight, &mut bit_shifts);
-                    bit_slots.resize(bit_shifts.len(), slot);
+        let mut evaluated_plane_ops = [0u64; 3];
+        let mut canon: Vec<(bool, u32, i64)> = Vec::new();
+        let mut visit: Vec<u32> = Vec::new();
+        let mut banked: Vec<(u32, u32)> = Vec::new();
+        for &(lo, hi) in &layer_ranges {
+            let layer = &schedule[lo as usize..hi as usize];
+            visit.clear();
+            for class in [GateClass::Unit, GateClass::Pow2, GateClass::General] {
+                visit.extend(layer.iter().filter(|&&g| gate_class[g as usize] == class));
+            }
+            banked.clear();
+            for group in visit.chunk_by(|&a, &b| gate_class[a as usize] == gate_class[b as usize]) {
+                let class = gate_class[group[0] as usize];
+                table.reset(group.len());
+                let mut prev: Option<(&[(Wire, i64)], u32)> = None;
+                for &g in group {
+                    let inputs = circuit.gates()[g as usize].inputs();
+                    let row = match prev {
+                        // Bank members are usually emitted back to back with
+                        // the very same edge list: that is the previous
+                        // gate's row, with no sort or hash.
+                        Some((prev_inputs, row)) if prev_inputs == inputs => row,
+                        _ => {
+                            canon.clear();
+                            canon.extend(inputs.iter().map(|&(wire, w)| {
+                                // lint:allow(narrowing-cast): slots fit the u32 space checked at entry
+                                (w < 0, slot_of(wire, num_inputs, &perm) as u32, w)
+                            }));
+                            canon.sort_unstable();
+                            let hash = row_hash(&canon);
+                            table.find(&rows, hash, &canon).unwrap_or_else(|| {
+                                let r = rows.push(&canon, class);
+                                evaluated_plane_ops[class.index()] += rows.plane_ops(class, r);
+                                table.insert(hash, r);
+                                r
+                            })
+                        }
+                    };
+                    // A bank's plane budget is the largest any member needs.
+                    let budget = &mut rows.batch_planes[row as usize];
+                    *budget = (*budget).max(gate_planes[g as usize]);
+                    class_counts[class.index()] += 1;
+                    class_plane_ops[class.index()] += rows.plane_ops(class, row);
+                    banked.push((row, g));
+                    prev = Some((inputs, row));
                 }
-                count
-            };
-            let pos = emit(false);
-            emit(true);
-            pos_counts.push(pos);
-            thresholds.push(gate.threshold());
-            narrow.push(per_gate_narrow[orig as usize]);
-            batch_planes.push(per_gate_planes[orig as usize]);
-            classes.push(class);
-            class_counts[class.index()] += 1;
-            class_plane_ops[class.index()] += match class {
-                // lint:allow(narrowing-cast): usize → u64 never truncates on supported targets
-                GateClass::Unit => gate.fan_in() as u64,
-                // lint:allow(narrowing-cast): bit-edge counts share the u32 CSR index space; the difference widens to u64
-                _ => (bit_slots.len() as u32 - *bit_offsets.last().unwrap()) as u64,
-            };
-            // lint:allow(narrowing-cast): edge counts share the u32 CSR index space
-            offsets.push(wires.len() as u32);
-            // lint:allow(narrowing-cast): bit-edge counts share the u32 CSR index space
-            bit_offsets.push(bit_slots.len() as u32);
+            }
+            banked.sort_unstable();
+            for &(row, g) in &banked {
+                // lint:allow(narrowing-cast): internal ids fit the u32 slot space checked at entry
+                perm[g as usize] = inv.len() as u32;
+                inv.push(g);
+                gate_rows.push(row);
+                thresholds.push(circuit.gates()[g as usize].threshold());
+                classes.push(gate_class[g as usize]);
+            }
         }
 
         // Maximal same-class runs in internal order.
@@ -402,26 +580,39 @@ impl CompiledCircuit {
             outputs.push(slot_of(wire, num_inputs, &perm) as u32);
         }
 
+        let RowCsr {
+            offsets,
+            wires,
+            weights,
+            pos_counts,
+            narrow,
+            bit_offsets,
+            bit_slots,
+            bit_shifts,
+            batch_planes,
+        } = rows;
         Ok(CompiledCircuit {
             num_inputs,
             offsets,
             wires,
             weights,
             pos_counts,
-            thresholds,
-            depths,
-            schedule,
-            layer_ranges,
-            outputs,
             narrow,
             bit_offsets,
             bit_slots,
             bit_shifts,
             batch_planes,
+            gate_rows,
+            thresholds,
             classes,
+            depths,
+            schedule,
+            layer_ranges,
+            outputs,
             segments,
             class_counts,
             class_plane_ops,
+            evaluated_plane_ops,
             perm: perm.into(),
             inv,
         })
@@ -439,17 +630,35 @@ impl CompiledCircuit {
         self.thresholds.len()
     }
 
-    /// Total number of edges (sum of all fan-ins).
-    #[inline]
+    /// Total number of edges (sum of all fan-ins) of the source circuit,
+    /// counting a shared row once per gate that reads it.
     pub fn num_edges(&self) -> usize {
+        self.gate_rows
+            .iter()
+            .map(|&r| self.row_len(r as usize))
+            .sum()
+    }
+
+    /// Number of banks: the distinct `(fan-in row, class)` pairs, each
+    /// stored as one CSR row and summed once per batch pass.
+    #[inline]
+    pub fn num_banks(&self) -> usize {
+        self.pos_counts.len()
+    }
+
+    /// Edges the batch kernel sums per pass: each bank's row once (the
+    /// stored CSR edges). Compare [`CompiledCircuit::num_edges`], the
+    /// source-form count.
+    #[inline]
+    pub fn num_evaluated_edges(&self) -> usize {
         self.wires.len()
     }
 
-    /// Total number of *bit-edges* — weights decomposed into set bits — held
-    /// for the [`GateClass::Pow2`] and [`GateClass::General`] gates.
-    /// [`GateClass::Unit`] gates are evaluated straight off the raw CSR
-    /// edges and emit none; see [`CompiledCircuit::class_plane_ops`] for the
-    /// full per-pass work accounting.
+    /// Number of stored *bit-edges* — weights decomposed into set bits — of
+    /// the [`GateClass::Pow2`] and [`GateClass::General`] rows, each bank's
+    /// row once. [`GateClass::Unit`] rows are evaluated straight off the raw
+    /// CSR edges and emit none; see [`CompiledCircuit::evaluated_plane_ops`]
+    /// for the full per-pass work accounting.
     #[inline]
     pub fn num_bit_edges(&self) -> usize {
         self.bit_slots.len()
@@ -468,18 +677,27 @@ impl CompiledCircuit {
         self.class_counts
     }
 
-    /// Plane-addition operations one bit-sliced batch pass performs per
-    /// class (`[Unit, Pow2, General]`): raw edges for `Unit` gates,
-    /// bit-edges for the rest. The unit of work of the batch kernels — cost
-    /// models weight these instead of guessing from `num_bit_edges`.
+    /// Source-form plane-addition operations per class (`[Unit, Pow2,
+    /// General]`), as if every gate summed its own fan-in: raw edges for
+    /// `Unit` gates, bit-edges for the rest. Sharing never changes it; see
+    /// [`CompiledCircuit::evaluated_plane_ops`] for the work a pass does.
     #[inline]
     pub fn class_plane_ops(&self) -> [u64; 3] {
         self.class_plane_ops
     }
 
+    /// Plane-addition operations one bit-sliced batch pass actually
+    /// performs per class (`[Unit, Pow2, General]`): the units of
+    /// [`CompiledCircuit::class_plane_ops`], counted once per bank. The
+    /// unit of work of the batch kernel — cost models weight these.
+    #[inline]
+    pub fn evaluated_plane_ops(&self) -> [u64; 3] {
+        self.evaluated_plane_ops
+    }
+
     /// The ORIGINAL gate id occupying `slot`, or `None` for the constant-one
     /// wire and the primary inputs. The inverse of the internal `(depth,
-    /// class)`-sorted slot numbering.
+    /// class, row)`-sorted slot numbering.
     #[inline]
     pub fn gate_of_slot(&self, slot: usize) -> Option<usize> {
         slot.checked_sub(1 + self.num_inputs)
@@ -492,7 +710,12 @@ impl CompiledCircuit {
         1 + self.num_inputs + self.perm[gate_index] as usize
     }
 
-    /// The maximum fan-in over all gates.
+    #[inline]
+    fn row_len(&self, r: usize) -> usize {
+        (self.offsets[r + 1] - self.offsets[r]) as usize
+    }
+
+    /// The maximum fan-in over all gates (every row has a member gate).
     pub fn max_fan_in(&self) -> usize {
         self.offsets
             .windows(2)
@@ -515,13 +738,13 @@ impl CompiledCircuit {
     }
 
     /// Per-gate fan-in `(slot-encoded wires, weights)` of gate `g` (original
-    /// gate id). Edges are stored non-negative-weight first; the weighted
-    /// sum is order-invariant.
+    /// gate id): its bank's row, in canonical order — non-negative weights
+    /// first, then ascending slot. The weighted sum is order-invariant.
     #[inline]
     pub fn fan_in(&self, g: usize) -> (&[u32], &[i64]) {
-        let i = self.perm[g] as usize;
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
+        let r = self.gate_rows[self.perm[g] as usize] as usize;
+        let lo = self.offsets[r] as usize;
+        let hi = self.offsets[r + 1] as usize;
         (&self.wires[lo..hi], &self.weights[lo..hi])
     }
 
@@ -575,13 +798,15 @@ impl CompiledCircuit {
     }
 
     /// Evaluates one INTERNAL gate from the flat value array (scalar
-    /// fast/wide path).
+    /// fast/wide path). Every gate sums its own row: the oracle shares
+    /// nothing, so it pins the kernel's banks to per-gate semantics.
     #[inline]
     fn fire_scalar(&self, g: usize, vals: &[bool]) -> bool {
         debug_assert_eq!(vals.len(), self.len_slots());
-        let lo = self.offsets[g] as usize;
-        let hi = self.offsets[g + 1] as usize;
-        if self.narrow[g] {
+        let r = self.gate_rows[g] as usize;
+        let lo = self.offsets[r] as usize;
+        let hi = self.offsets[r + 1] as usize;
+        if self.narrow[r] {
             let mut acc: i64 = 0;
             for e in lo..hi {
                 // SAFETY: `CompiledCircuit::new` rejects dangling fan-in
@@ -607,7 +832,7 @@ impl CompiledCircuit {
     }
 
     fn finish(&self, vals: Vec<bool>) -> Evaluation {
-        // The slot array is in internal (depth, class) order; the exposed
+        // The slot array is in internal (depth, class, row) order; the exposed
         // evaluation speaks original gate ids.
         let gate_values = self
             .perm

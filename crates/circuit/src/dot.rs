@@ -71,7 +71,7 @@ impl CompiledCircuit {
             } else if slot <= num_inputs {
                 format!("x{}", slot - 1)
             } else {
-                // Slots are internally (depth, class)-sorted; render the
+                // Slots are internally (depth, class, row)-sorted; render the
                 // original gate id.
                 format!("g{}", self.gate_of_slot(slot).expect("gate slot"))
             }

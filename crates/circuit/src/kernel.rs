@@ -17,17 +17,24 @@
 //! columns see no-op lane operations — so every arm is bit-identical.
 //!
 //! The kernel walks the compiled circuit's class *segments* (maximal runs of
-//! equal [`GateClass`] in the internal `(depth, class)`-sorted gate order)
-//! and dispatches once per segment instead of once per gate:
+//! equal [`GateClass`] in the internal `(depth, class, row)`-sorted gate
+//! order), and inside a segment its *banks* (maximal runs of gates sharing
+//! one fan-in row). Each bank's row is added into the `pos`/`neg` carry-save
+//! planes once:
 //!
-//! * [`GateClass::Unit`] — all weights ±1: the gate's raw lane words are
-//!   carry-save-added from plane 0, positives then negatives (the compiled
+//! * [`GateClass::Unit`] — all weights ±1: the row's raw lane words are
+//!   carry-save-added from plane 0, positives then negatives (the row's
 //!   edge order), with no bit-edge indirection at all;
 //! * [`GateClass::Pow2`] — single-set-bit weights: exactly one shift-indexed
 //!   plane addition per edge;
 //! * [`GateClass::General`] — bit-edge decomposition (one plane addition
 //!   per set bit of each weight magnitude), with the cold per-lane
-//!   `i128` fallback for gates whose weight reach exceeds the plane budget.
+//!   `i128` fallback for banks whose weight reach exceeds the plane budget.
+//!
+//! Then every member's threshold is compared against the shared planes, and
+//! every member is stored and counted as a gate of its own. A one-member
+//! bank does exactly the work of an unshared gate, so there is one code
+//! path and no setting.
 
 use crate::compiled::{CompiledCircuit, GateClass, FIRING_PLANES, WIDE_GATE};
 use crate::simd::{self, WordVec, Words};
@@ -124,7 +131,7 @@ impl CompiledCircuit {
     /// packed) and accumulates per-lane firing counts into `firing`
     /// (`FIRING_PLANES` planes, zeroed by the caller).
     ///
-    /// Gate slots are written in internal `(depth, class)` order — callers
+    /// Gate slots are written in internal `(depth, class, row)` order — callers
     /// translate to original gate ids through the compiled permutation.
     /// Lanes at and beyond `lanes` hold unspecified values; firing counts
     /// only accumulate valid lanes.
@@ -307,81 +314,83 @@ impl CompiledCircuit {
             *m = word_mask(lanes, w);
         }
         let wmask = V::load(&wmask);
-        // Per-gate carry-save accumulators for positive and negative weight
+        // Per-bank carry-save accumulators for positive and negative weight
         // magnitudes, shared across every class arm.
         let mut pos = [[0u64; W]; 64];
         let mut neg = [[0u64; W]; 64];
 
         for &(class, seg_lo, seg_hi) in &self.segments {
-            match class {
-                GateClass::Unit => {
-                    for g in seg_lo as usize..seg_hi as usize {
-                        let p = self.batch_planes[g] as usize;
-                        pos[..p].fill([0u64; W]);
-                        neg[..p].fill([0u64; W]);
-                        let lo = self.offsets[g] as usize;
-                        let hi = self.offsets[g + 1] as usize;
-                        let split = lo + self.pos_counts[g] as usize;
-                        // ±1 weights: each edge is one carry-save addition of
-                        // the raw lane words from plane 0 — no bit-edges, no
-                        // shift decode, no sign branch.
-                        for e in lo..split {
-                            let mask = V::load(&vals[self.wires[e] as usize]);
-                            ripple_add(&mut pos, 0, mask);
-                        }
-                        for e in split..hi {
-                            let mask = V::load(&vals[self.wires[e] as usize]);
-                            ripple_add(&mut neg, 0, mask);
-                        }
-                        let t = self.thresholds[g];
-                        let fired = fired_planes::<W, V>(&pos, &neg, p, t);
+            let seg_hi = seg_hi as usize;
+            let mut lo = seg_lo as usize;
+            while lo < seg_hi {
+                let r = self.gate_rows[lo] as usize;
+                let mut hi = lo + 1;
+                while hi < seg_hi && self.gate_rows[hi] as usize == r {
+                    hi += 1;
+                }
+                let p = self.batch_planes[r];
+                if p == WIDE_GATE {
+                    for g in lo..hi {
+                        let fired = V::load(&self.fire_wide_lanes(g, vals, lanes));
                         fired.store(&mut vals[gate_base + g]);
                         count_firing(firing, fired.and(wmask));
                     }
+                    lo = hi;
+                    continue;
                 }
-                GateClass::Pow2 => {
-                    for g in seg_lo as usize..seg_hi as usize {
-                        // Single-set-bit weights: exactly one shift-indexed
-                        // plane addition per edge.
-                        let fired = self.fire_bit_edges::<W, V>(g, vals, &mut pos, &mut neg);
-                        fired.store(&mut vals[gate_base + g]);
-                        count_firing(firing, fired.and(wmask));
+                let p = p as usize;
+                pos[..p].fill([0u64; W]);
+                neg[..p].fill([0u64; W]);
+                match class {
+                    GateClass::Unit => self.add_unit_row::<W, V>(r, vals, &mut pos, &mut neg),
+                    GateClass::Pow2 | GateClass::General => {
+                        self.add_bit_edges::<W, V>(r, vals, &mut pos, &mut neg)
                     }
                 }
-                GateClass::General => {
-                    for g in seg_lo as usize..seg_hi as usize {
-                        if self.batch_planes[g] == WIDE_GATE {
-                            let fired = self.fire_wide_lanes(g, vals, lanes);
-                            let fired = V::load(&fired);
-                            fired.store(&mut vals[gate_base + g]);
-                            count_firing(firing, fired.and(wmask));
-                        } else {
-                            let fired = self.fire_bit_edges::<W, V>(g, vals, &mut pos, &mut neg);
-                            fired.store(&mut vals[gate_base + g]);
-                            count_firing(firing, fired.and(wmask));
-                        }
-                    }
+                for g in lo..hi {
+                    let fired = fired_planes::<W, V>(&pos, &neg, p, self.thresholds[g]);
+                    fired.store(&mut vals[gate_base + g]);
+                    count_firing(firing, fired.and(wmask));
                 }
+                lo = hi;
             }
         }
     }
 
-    /// Accumulates one bit-edge gate (`Pow2`/`General`, plane budget holds):
-    /// ripple-adds every bit-edge's lane words at its shift, then compares
-    /// against the threshold.
+    /// Adds a `Unit` row: ±1 weights, so each edge is one carry-save
+    /// addition of the raw lane words from plane 0 — no bit-edges, no shift
+    /// decode, no sign branch.
     #[inline(always)]
-    fn fire_bit_edges<const W: usize, V: WordVec<W>>(
+    fn add_unit_row<const W: usize, V: WordVec<W>>(
         &self,
-        g: usize,
+        r: usize,
         vals: &[[u64; W]],
         pos: &mut [[u64; W]; 64],
         neg: &mut [[u64; W]; 64],
-    ) -> V {
-        let p = self.batch_planes[g] as usize;
-        pos[..p].fill([0u64; W]);
-        neg[..p].fill([0u64; W]);
-        let lo = self.bit_offsets[g] as usize;
-        let hi = self.bit_offsets[g + 1] as usize;
+    ) {
+        let lo = self.offsets[r] as usize;
+        let hi = self.offsets[r + 1] as usize;
+        let split = lo + self.pos_counts[r] as usize;
+        for e in lo..split {
+            ripple_add(pos, 0, V::load(&vals[self.wires[e] as usize]));
+        }
+        for e in split..hi {
+            ripple_add(neg, 0, V::load(&vals[self.wires[e] as usize]));
+        }
+    }
+
+    /// Adds a `Pow2`/`General` row (plane budget holds): ripple-adds every
+    /// bit-edge's lane words at its shift.
+    #[inline(always)]
+    fn add_bit_edges<const W: usize, V: WordVec<W>>(
+        &self,
+        r: usize,
+        vals: &[[u64; W]],
+        pos: &mut [[u64; W]; 64],
+        neg: &mut [[u64; W]; 64],
+    ) {
+        let lo = self.bit_offsets[r] as usize;
+        let hi = self.bit_offsets[r + 1] as usize;
         for e in lo..hi {
             let mask = V::load(&vals[self.bit_slots[e] as usize]);
             let desc = self.bit_shifts[e];
@@ -393,13 +402,12 @@ impl CompiledCircuit {
             let base = (desc & 0x3F) as usize;
             ripple_add(planes_arr, base, mask);
         }
-        let t = self.thresholds[g];
-        fired_planes::<W, V>(pos, neg, p, t)
     }
 
-    /// Wide-gate fallback: evaluates each lane with an `i128` accumulator.
-    /// Only reached when a gate's weight reach exceeds the plane budget
-    /// (~2^61), which no paper construction does.
+    /// Wide-bank fallback: evaluates internal gate `g` on each lane with an
+    /// `i128` accumulator over its row. Only reached when a bank's weight
+    /// reach exceeds the plane budget (~2^61), which no paper construction
+    /// does.
     #[cold]
     fn fire_wide_lanes<const W: usize>(
         &self,
@@ -407,8 +415,9 @@ impl CompiledCircuit {
         vals: &[[u64; W]],
         lanes: usize,
     ) -> [u64; W] {
-        let lo = self.offsets[g] as usize;
-        let hi = self.offsets[g + 1] as usize;
+        let r = self.gate_rows[g] as usize;
+        let lo = self.offsets[r] as usize;
+        let hi = self.offsets[r + 1] as usize;
         let t = self.thresholds[g] as i128;
         let mut fired = [0u64; W];
         for l in 0..lanes {

@@ -11,16 +11,20 @@
 //!
 //! 1. **Structural invariants** ([`verify_compiled`]) — CSR well-formedness
 //!    (monotone row offsets, in-bounds slot ids, no self or forward edges
-//!    violating the layer schedule), the (depth, class)-contiguous internal
-//!    renumbering with a bijective `perm`/`inv` pair, per-class segment
-//!    tables exactly matching what the batch kernel dispatches, and
-//!    plane-budget accounting reconciling bit-edge counts against the cost
-//!    model's `class_plane_ops`.
+//!    violating the layer schedule), the (depth, class, row)-sorted
+//!    internal renumbering with a bijective `perm`/`inv` pair, bank shape
+//!    (each row's member gates are one contiguous run of one class in one
+//!    layer, and the row's plane budget is the largest its members need),
+//!    per-class segment tables exactly matching what the batch kernel
+//!    dispatches, and plane-op accounting reconciling row and bit-edge
+//!    counts against `class_plane_ops` (each gate charged its row) and
+//!    `evaluated_plane_ops` (each row once).
 //! 2. **Translation check** ([`verify_against`]) — for every gate, the
-//!    compiled wiring, weights and threshold must equal the source gate's
-//!    (edges stably partitioned non-negative first), and each bit-edge run
-//!    must be the binary digits of those weights. The compiled gate is then
-//!    the source gate, so it fires on exactly the same inputs — proved per
+//!    compiled row must hold exactly the source gate's `(slot, weight)`
+//!    multiset and the threshold must equal the source's; structurally,
+//!    each row's bit-edge run must be the binary digits of its weights.
+//!    The compiled gate then computes the source gate's sum against the
+//!    source threshold, so it fires on exactly the same inputs — proved per
 //!    gate rather than on sampled inputs only.
 //! 3. **Paper-bound certification** ([`PaperBound`]) — constructors attach
 //!    closed-form depth/size bounds from the source paper's theorems, and
@@ -69,8 +73,8 @@ pub enum FindingKind {
     /// Layer ranges do not partition the gates, or the depth-grouped
     /// schedule disagrees with the recorded per-gate depths.
     LayerSchedule,
-    /// Gates inside a layer are not sorted by (class, original id), so the
-    /// class segments the kernel dispatches would not be maximal runs.
+    /// Gates inside a layer are not sorted by (class, row, original id), so
+    /// the class segments the kernel dispatches would not be maximal runs.
     InternalOrder,
     /// The per-class segment table does not match the recomputed maximal
     /// same-class runs.
@@ -80,22 +84,27 @@ pub enum FindingKind {
     ClassLabel,
     /// The per-class census `class_counts` is wrong.
     ClassCensus,
-    /// A gate's `batch_planes` entry disagrees with the plane requirement
-    /// recomputed from its bit-edge reach and threshold.
+    /// A gate needs more planes — recomputed from its row's weight reach
+    /// and its own threshold — than its bank's `batch_planes` budget.
     PlaneBudget,
-    /// `class_plane_ops` does not reconcile with the per-gate edge and
-    /// bit-edge counts.
+    /// `class_plane_ops` does not reconcile with the per-gate row counts
+    /// (each gate charged its whole row), or `evaluated_plane_ops` with the
+    /// per-bank counts (each row once).
     PlaneOps,
-    /// A gate's narrow (i64-safe) flag disagrees with its weight sums.
+    /// A row's narrow (i64-safe) flag disagrees with its weight sums.
     NarrowFlag,
+    /// A bank is malformed: its members are not one contiguous run, mix
+    /// classes or layers, or its row's plane budget is not the largest its
+    /// members need (or a row has no member at all).
+    BankRow,
     /// An output slot is out of bounds or does not match the source wire.
     OutputSlot,
     /// A bit-edge run does not reproduce the binary digits (one per set
-    /// bit) of its gate's weights.
+    /// bit) of its row's weights.
     BitEdgeCertificate,
-    /// A compiled artifact disagrees with its source circuit (gate/input/
-    /// edge counts, recomputed depths, fan-in wiring, weights or
-    /// thresholds).
+    /// A compiled artifact disagrees with its source circuit (gate/input
+    /// counts, recomputed depths, a gate's fan-in multiset or its
+    /// threshold).
     SourceMismatch,
     /// Measured depth violates the constructor's paper bound.
     DepthBound,
@@ -129,6 +138,7 @@ impl FindingKind {
             FindingKind::PlaneBudget => "plane-budget",
             FindingKind::PlaneOps => "plane-ops",
             FindingKind::NarrowFlag => "narrow-flag",
+            FindingKind::BankRow => "bank-row",
             FindingKind::OutputSlot => "output-slot",
             FindingKind::BitEdgeCertificate => "bit-edge-certificate",
             FindingKind::SourceMismatch => "source-mismatch",
@@ -276,6 +286,9 @@ fn planes_for(reach: i128) -> u8 {
     }
 }
 
+/// No gate (an unset per-row entry).
+const NONE: usize = usize::MAX;
+
 fn slot_of(wire: Wire, num_inputs: usize, perm: &[u32]) -> Option<usize> {
     match wire {
         Wire::One => Some(0),
@@ -299,22 +312,24 @@ pub fn verify_compiled(c: &CompiledCircuit) -> VerifyReport {
 /// per-gate cross-checks of [`verify_against`] to chase its indices.
 fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
     let g_count = c.classes.len();
+    let rows = c.pos_counts.len();
     let slots = 1 + c.num_inputs + g_count;
 
     // ── Array shapes. Everything after this section may index freely up to
-    // `g_count`, but offset *values* are still validated before use.
+    // `g_count` (per gate) and `rows` (per row), but offset *values* are
+    // still validated before use.
     let shape_checks = [
-        (c.offsets.len() == g_count + 1, "offsets length"),
-        (c.bit_offsets.len() == g_count + 1, "bit_offsets length"),
+        (c.offsets.len() == rows + 1, "offsets length"),
+        (c.bit_offsets.len() == rows + 1, "bit_offsets length"),
         (c.wires.len() == c.weights.len(), "wires/weights parallel"),
         (
             c.bit_slots.len() == c.bit_shifts.len(),
             "bit_slots/bit_shifts parallel",
         ),
-        (c.pos_counts.len() == g_count, "pos_counts length"),
+        (c.narrow.len() == rows, "narrow length"),
+        (c.batch_planes.len() == rows, "batch_planes length"),
+        (c.gate_rows.len() == g_count, "gate_rows length"),
         (c.thresholds.len() == g_count, "thresholds length"),
-        (c.narrow.len() == g_count, "narrow length"),
-        (c.batch_planes.len() == g_count, "batch_planes length"),
         (c.depths.len() == g_count, "depths length"),
         (c.schedule.len() == g_count, "schedule length"),
         (c.perm.len() == g_count, "perm length"),
@@ -326,6 +341,17 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
             r.error(FindingKind::CsrShape, None, format!("bad {what}"));
             shapes_ok = false;
         }
+    }
+    if let Some(g) = c.gate_rows.iter().position(|&row| row as usize >= rows) {
+        r.error(
+            FindingKind::CsrShape,
+            None,
+            format!(
+                "internal gate {g} points at row {} of {rows}",
+                c.gate_rows[g]
+            ),
+        );
+        shapes_ok = false;
     }
     if !shapes_ok {
         return false;
@@ -470,54 +496,91 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
                 );
             }
         }
-        // Within a layer the internal order must be (class, original id)
-        // ascending: that is what makes the class segments maximal runs.
+        // Within a layer the internal order must be (class, row, original
+        // id) ascending: that is what makes the class segments maximal runs
+        // and every bank one run inside them.
         for g in lo as usize + 1..hi as usize {
-            let a = (c.classes[g - 1].index(), c.inv[g - 1]);
-            let b = (c.classes[g].index(), c.inv[g]);
+            let a = (c.classes[g - 1].index(), c.gate_rows[g - 1], c.inv[g - 1]);
+            let b = (c.classes[g].index(), c.gate_rows[g], c.inv[g]);
             if a >= b {
                 r.error(
                     FindingKind::InternalOrder,
                     Some(c.inv[g] as usize),
-                    format!("layer {d} not sorted by (class, original id) at internal id {g}"),
+                    format!("layer {d} not sorted by (class, row, original id) at internal id {g}"),
                 );
             }
         }
     }
 
-    // ── Per-gate pass: offsets, edge bounds and ordering, pos split,
-    // class label, plane budget, bit-edge reproduction, narrow flag.
-    let mut class_counts = [0usize; 3];
-    let mut plane_ops = [0u64; 3];
+    // ── Banks: the members of each row form one contiguous run of gates of
+    // one class in one layer, and every row has at least one member.
+    let mut first_member = vec![NONE; rows];
     for g in 0..g_count {
-        let orig = c.inv[g] as usize;
-        let (lo, hi) = (c.offsets[g] as usize, c.offsets[g + 1] as usize);
+        let row = c.gate_rows[g] as usize;
+        if g > 0 && c.gate_rows[g - 1] as usize == row {
+            if c.classes[g] != c.classes[g - 1] || internal_layer[g] != internal_layer[g - 1] {
+                r.error(
+                    FindingKind::BankRow,
+                    Some(c.inv[g] as usize),
+                    format!("bank of row {row} mixes classes or layers at internal id {g}"),
+                );
+            }
+        } else if first_member[row] != NONE {
+            r.error(
+                FindingKind::BankRow,
+                Some(c.inv[g] as usize),
+                format!("bank of row {row} is not contiguous: it resumes at internal id {g}"),
+            );
+        } else {
+            first_member[row] = g;
+        }
+    }
+
+    // ── Per-row pass: offsets, edge bounds and ordering, pos split,
+    // narrow flag, class label, bit-edge reproduction, evaluated work.
+    let mut row_reach = vec![0i128; rows];
+    let mut row_class = vec![None; rows];
+    let mut row_ops = vec![(0u64, 0u64); rows];
+    let mut evaluated_ops = [0u64; 3];
+    let mut offsets_ok = true;
+    for row in 0..rows {
+        let first = first_member[row];
+        let gate = (first != NONE).then(|| c.inv[first] as usize);
+        if first == NONE {
+            r.error(
+                FindingKind::BankRow,
+                None,
+                format!("row {row} has no member gate"),
+            );
+        }
+        let (lo, hi) = (c.offsets[row] as usize, c.offsets[row + 1] as usize);
         if lo > hi || hi > c.wires.len() {
             r.error(
                 FindingKind::OffsetMonotonicity,
-                Some(orig),
-                format!("edge range {lo}..{hi} is not monotone/in-bounds"),
+                gate,
+                format!("row {row} edge range {lo}..{hi} is not monotone/in-bounds"),
             );
+            offsets_ok = false;
             continue;
         }
-        let (blo, bhi) = (c.bit_offsets[g] as usize, c.bit_offsets[g + 1] as usize);
+        let (blo, bhi) = (c.bit_offsets[row] as usize, c.bit_offsets[row + 1] as usize);
         if blo > bhi || bhi > c.bit_slots.len() {
             r.error(
                 FindingKind::OffsetMonotonicity,
-                Some(orig),
-                format!("bit-edge range {blo}..{bhi} is not monotone/in-bounds"),
+                gate,
+                format!("row {row} bit-edge range {blo}..{bhi} is not monotone/in-bounds"),
             );
+            offsets_ok = false;
             continue;
         }
-        let class = c.classes[g];
-        class_counts[class.index()] += 1;
+        row_ops[row] = ((hi - lo) as u64, (bhi - blo) as u64);
 
-        let pos = c.pos_counts[g] as usize;
+        let pos = c.pos_counts[row] as usize;
         if pos > hi - lo {
             r.error(
                 FindingKind::PosCountSplit,
-                Some(orig),
-                format!("pos_counts={pos} exceeds fan-in {}", hi - lo),
+                gate,
+                format!("row {row} pos_counts={pos} exceeds its {} edges", hi - lo),
             );
         }
         let (mut pos_sum, mut neg_sum) = (0i128, 0i128);
@@ -527,21 +590,21 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
             if slot >= slots {
                 r.error(
                     FindingKind::WireBounds,
-                    Some(orig),
-                    format!("fan-in slot {slot} outside slot space {slots}"),
+                    gate,
+                    format!("row {row} fan-in slot {slot} outside slot space {slots}"),
                 );
                 edges_ok = false;
                 continue;
             }
-            if slot > c.num_inputs {
+            if slot > c.num_inputs && first != NONE {
                 let p = slot - 1 - c.num_inputs;
-                if internal_layer[p] >= internal_layer[g] {
+                if internal_layer[p] >= internal_layer[first] {
                     r.error(
                         FindingKind::EdgeOrder,
-                        Some(orig),
+                        gate,
                         format!(
-                            "reads internal gate {p} (layer {}) from layer {}",
-                            internal_layer[p], internal_layer[g]
+                            "row {row} reads internal gate {p} (layer {}) from layer {}",
+                            internal_layer[p], internal_layer[first]
                         ),
                     );
                     edges_ok = false;
@@ -551,9 +614,9 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
             if (e - lo < pos) != (w >= 0) {
                 r.error(
                     FindingKind::PosCountSplit,
-                    Some(orig),
+                    gate,
                     format!(
-                        "edge {} (weight {w}) on the wrong side of the split",
+                        "row {row} edge {} (weight {w}) on the wrong side of the split",
                         e - lo
                     ),
                 );
@@ -564,52 +627,46 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
                 neg_sum += -(w as i128);
             }
         }
+        row_reach[row] = pos_sum + neg_sum;
         let narrow = pos_sum <= i64::MAX as i128 && neg_sum <= i64::MAX as i128;
-        if c.narrow[g] != narrow {
+        if c.narrow[row] != narrow {
             r.error(
                 FindingKind::NarrowFlag,
-                Some(orig),
-                format!("narrow flag {} but weight sums say {narrow}", c.narrow[g]),
-            );
-        }
-
-        // Reclassify from the compiled weights and the stored plane budget.
-        let weights = &c.weights[lo..hi];
-        if GateClass::classify(weights.iter().copied(), c.batch_planes[g]) != class {
-            r.error(
-                FindingKind::ClassLabel,
-                Some(orig),
-                format!("stored class {class:?} disagrees with reclassification"),
-            );
-        }
-
-        let planes = planes_for(pos_sum + neg_sum + c.thresholds[g].unsigned_abs() as i128);
-        if c.batch_planes[g] != planes {
-            r.error(
-                FindingKind::PlaneBudget,
-                Some(orig),
+                gate,
                 format!(
-                    "batch_planes={} but recomputed reach needs {planes}",
-                    c.batch_planes[g]
+                    "row {row} narrow flag {} but weight sums say {narrow}",
+                    c.narrow[row]
                 ),
             );
         }
 
-        // Unit gates must span zero bit-edges; every other gate's run must
+        // Reclassify from the row's weights and its bank's plane budget;
+        // the per-gate pass compares every member's label against it.
+        let weights = &c.weights[lo..hi];
+        let class = GateClass::classify(weights.iter().copied(), c.batch_planes[row]);
+        row_class[row] = Some(class);
+        if first == NONE {
+            continue;
+        }
+        evaluated_ops[class.index()] += if class == GateClass::Unit {
+            (hi - lo) as u64
+        } else {
+            (bhi - blo) as u64
+        };
+
+        // Unit rows must span zero bit-edges; every other row's run must
         // be one digit per set bit of each weight magnitude, in edge order:
         // the shift in the low 6 bits, the weight's sign in bit 7.
         if class == GateClass::Unit {
             if bhi != blo {
                 r.error(
                     FindingKind::BitEdgeCertificate,
-                    Some(orig),
-                    format!("Unit gate spans {} bit-edges (must be 0)", bhi - blo),
+                    gate,
+                    format!("Unit row {row} spans {} bit-edges (must be 0)", bhi - blo),
                 );
             }
-            plane_ops[class.index()] += (hi - lo) as u64;
             continue;
         }
-        plane_ops[class.index()] += (bhi - blo) as u64;
         if !edges_ok {
             continue;
         }
@@ -633,11 +690,59 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
         if !stored.eq(expected) {
             r.error(
                 FindingKind::BitEdgeCertificate,
-                Some(orig),
+                gate,
                 format!(
-                    "bit-edge run ({} edges) does not reproduce the binary digits of the weights",
+                    "row {row} bit-edge run ({} edges) does not reproduce the binary digits of the weights",
                     bhi - blo
                 ),
+            );
+        }
+    }
+
+    // ── Per-gate pass: class label, plane budget, census and source-form
+    // plane-ops (each gate charged its whole row, row × member).
+    let mut class_counts = [0usize; 3];
+    let mut plane_ops = [0u64; 3];
+    let mut largest_need = vec![0u8; rows];
+    for g in 0..g_count {
+        let orig = c.inv[g] as usize;
+        let row = c.gate_rows[g] as usize;
+        let class = c.classes[g];
+        class_counts[class.index()] += 1;
+        let (edges, bits) = row_ops[row];
+        plane_ops[class.index()] += if class == GateClass::Unit {
+            edges
+        } else {
+            bits
+        };
+        if let Some(reclassified) = row_class[row] {
+            if reclassified != class {
+                r.error(
+                    FindingKind::ClassLabel,
+                    Some(orig),
+                    format!("stored class {class:?} disagrees with reclassification {reclassified:?} of row {row}"),
+                );
+            }
+        }
+        let need = planes_for(row_reach[row] + c.thresholds[g].unsigned_abs() as i128);
+        largest_need[row] = largest_need[row].max(need);
+        if need > c.batch_planes[row] {
+            r.error(
+                FindingKind::PlaneBudget,
+                Some(orig),
+                format!(
+                    "needs {need} planes but its bank's budget is {}",
+                    c.batch_planes[row]
+                ),
+            );
+        }
+    }
+    for (row, (&need, &budget)) in largest_need.iter().zip(&c.batch_planes).enumerate() {
+        if first_member[row] != NONE && need != budget {
+            r.error(
+                FindingKind::BankRow,
+                Some(c.inv[first_member[row]] as usize),
+                format!("row {row} plane budget {budget} is not its members' largest need {need}"),
             );
         }
     }
@@ -658,8 +763,18 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
             FindingKind::PlaneOps,
             None,
             format!(
-                "class_plane_ops {:?} does not reconcile with edge/bit-edge counts {plane_ops:?}",
+                "class_plane_ops {:?} does not reconcile with per-gate row counts {plane_ops:?}",
                 c.class_plane_ops
+            ),
+        );
+    }
+    if evaluated_ops != c.evaluated_plane_ops {
+        r.error(
+            FindingKind::PlaneOps,
+            None,
+            format!(
+                "evaluated_plane_ops {:?} does not reconcile with per-bank row counts {evaluated_ops:?}",
+                c.evaluated_plane_ops
             ),
         );
     }
@@ -692,12 +807,12 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
         }
     }
 
-    true
+    offsets_ok
 }
 
 /// Verifies a compiled circuit *against its source*: all of
 /// [`verify_compiled`] plus the recomputed depth schedule and, per gate, the
-/// fan-in wiring, weights and threshold.
+/// fan-in multiset of its row and its threshold.
 pub fn verify_against(circuit: &Circuit, c: &CompiledCircuit) -> VerifyReport {
     let mut r = VerifyReport::default();
     let structural = verify_compiled_into(c, &mut r);
@@ -745,60 +860,42 @@ pub fn verify_against(circuit: &Circuit, c: &CompiledCircuit) -> VerifyReport {
             );
         }
     }
-    if c.wires.len() != circuit.num_edges() {
-        r.error(
-            FindingKind::SourceMismatch,
-            None,
-            format!(
-                "{} compiled edges != {} source edges",
-                c.wires.len(),
-                circuit.num_edges()
-            ),
-        );
-        return r;
-    }
-
-    // ── Per-gate translation check: the compiled gate is the source gate
-    // with its edges stably partitioned non-negative weights first (the
-    // weighted sum is order-invariant), so it fires on the same inputs.
+    // ── Per-gate translation check: the compiled gate reads a row holding
+    // exactly the source gate's (slot, weight) multiset — the weighted sum
+    // is order-invariant — and keeps the source threshold, so it fires on
+    // the same inputs. Once a row is proven against one source gate, a
+    // member whose source edge list is identical to that gate's is proven
+    // by comparing the two lists.
+    let mut proven_by = vec![NONE; c.pos_counts.len()];
+    let mut want: Vec<(Option<usize>, i64)> = Vec::new();
+    let mut got: Vec<(Option<usize>, i64)> = Vec::new();
     for (idx, gate) in circuit.gates().iter().enumerate() {
         let g = c.perm[idx] as usize;
-        let (lo, hi) = (c.offsets[g] as usize, c.offsets[g + 1] as usize);
-        if hi - lo != gate.fan_in() {
-            r.error(
-                FindingKind::SourceMismatch,
-                Some(idx),
-                format!(
-                    "compiled fan-in {} != source fan-in {}",
-                    hi - lo,
-                    gate.fan_in()
-                ),
+        let row = c.gate_rows[g] as usize;
+        let (lo, hi) = (c.offsets[row] as usize, c.offsets[row + 1] as usize);
+        let proven =
+            proven_by[row] != NONE && circuit.gates()[proven_by[row]].inputs() == gate.inputs();
+        if !proven {
+            want.clear();
+            want.extend(
+                gate.inputs()
+                    .iter()
+                    .map(|&(wire, w)| (slot_of(wire, num_inputs, &c.perm), w)),
             );
-            continue;
-        }
-        let ordered = gate
-            .inputs()
-            .iter()
-            .filter(|&&(_, w)| w >= 0)
-            .chain(gate.inputs().iter().filter(|&&(_, w)| w < 0));
-        for (e, &(wire, w)) in ordered.enumerate() {
-            if slot_of(wire, num_inputs, &c.perm) != Some(c.wires[lo + e] as usize) {
+            got.clear();
+            got.extend((lo..hi).map(|e| (Some(c.wires[e] as usize), c.weights[e])));
+            want.sort_unstable();
+            got.sort_unstable();
+            if want == got {
+                proven_by[row] = idx;
+            } else {
                 r.error(
                     FindingKind::SourceMismatch,
                     Some(idx),
                     format!(
-                        "edge {e} wired to slot {} instead of {wire:?}",
-                        c.wires[lo + e]
-                    ),
-                );
-            }
-            if c.weights[lo + e] != w {
-                r.error(
-                    FindingKind::SourceMismatch,
-                    Some(idx),
-                    format!(
-                        "edge {e}: compiled weight {} != source weight {w}",
-                        c.weights[lo + e]
+                        "row {row} ({} edges) is not the source fan-in multiset ({} edges)",
+                        hi - lo,
+                        gate.fan_in()
                     ),
                 );
             }
@@ -946,7 +1043,7 @@ fn constant_gates_csr(compiled: &CompiledCircuit) -> Vec<usize> {
 }
 
 /// Gates not reachable (backwards) from any designated output, traversing
-/// the compiled CSR adjacency. Slots are internally (depth, class)-sorted,
+/// the compiled CSR adjacency. Slots are internally (depth, class, row)-sorted,
 /// so every slot met during the walk is translated back to its ORIGINAL
 /// gate id through [`CompiledCircuit::gate_of_slot`] before indexing.
 fn dead_gates_csr(compiled: &CompiledCircuit) -> Vec<usize> {
@@ -1128,6 +1225,35 @@ mod tests {
         (c, compiled)
     }
 
+    /// Two banks of two Unit gates, thresholds 1 and 2 on `x + y` (listed
+    /// in both orders) and on `x + z`, read by one top gate.
+    fn banked() -> (Circuit, CompiledCircuit) {
+        let mut b = CircuitBuilder::new(3);
+        let (x, y, z) = (Wire::input(0), Wire::input(1), Wire::input(2));
+        let a1 = b.add_gate([(x, 1), (y, 1)], 1).unwrap();
+        let a2 = b.add_gate([(y, 1), (x, 1)], 2).unwrap();
+        let b1 = b.add_gate([(x, 1), (z, 1)], 1).unwrap();
+        let b2 = b.add_gate([(x, 1), (z, 1)], 2).unwrap();
+        let top = b.add_gate([(a1, 1), (a2, 1), (b1, 1), (b2, 1)], 2).unwrap();
+        b.mark_output(top);
+        let c = b.build();
+        let compiled = c.compile().unwrap();
+        (c, compiled)
+    }
+
+    #[test]
+    fn banks_share_rows_and_verify() {
+        let (c, m) = banked();
+        assert_eq!(m.num_banks(), 3);
+        assert_eq!(m.gate_rows, [0, 0, 1, 1, 2]);
+        assert_eq!(m.num_edges(), c.num_edges());
+        assert_eq!(m.num_evaluated_edges(), 2 + 2 + 4);
+        assert_eq!(m.class_plane_ops(), [12, 0, 0]);
+        assert_eq!(m.evaluated_plane_ops(), [8, 0, 0]);
+        let r = verify_against(&c, &m);
+        assert!(r.is_valid(), "{r}");
+    }
+
     #[test]
     fn clean_compile_verifies() {
         let (c, compiled) = compiled();
@@ -1163,6 +1289,14 @@ mod tests {
         m.offsets[1] = m.offsets[2] + 1;
         let r = verify_compiled(&m);
         assert!(!r.is_valid());
+        assert!(r.has(FindingKind::OffsetMonotonicity), "{r}");
+    }
+
+    #[test]
+    fn mutation_nonmonotone_offsets_do_not_panic_the_source_check() {
+        let (c, mut m) = compiled();
+        m.offsets[1] = m.offsets[2] + 1;
+        let r = verify_against(&c, &m);
         assert!(r.has(FindingKind::OffsetMonotonicity), "{r}");
     }
 
@@ -1242,6 +1376,14 @@ mod tests {
         let r = verify_compiled(&m);
         assert!(!r.is_valid());
         assert!(r.has(FindingKind::PlaneOps), "{r}");
+
+        let (_, mut m) = banked();
+        // Charging the shared row once per member is the source form, not
+        // the work a pass does.
+        m.evaluated_plane_ops = m.class_plane_ops;
+        let r = verify_compiled(&m);
+        assert!(!r.is_valid());
+        assert!(r.has(FindingKind::PlaneOps), "{r}");
     }
 
     #[test]
@@ -1265,9 +1407,9 @@ mod tests {
         // Rewrite gate 2's weight 6 (bits 1, 2) to 5 (bits 0, 2) together
         // with its bit-edge run: a self-consistent miscompile that only the
         // check against the source gate can see.
-        let g = m.perm[2] as usize;
-        let lo = m.offsets[g] as usize;
-        let blo = m.bit_offsets[g] as usize;
+        let row = m.gate_rows[m.perm[2] as usize] as usize;
+        let lo = m.offsets[row] as usize;
+        let blo = m.bit_offsets[row] as usize;
         assert_eq!((m.weights[lo], m.bit_shifts[blo]), (6, 1));
         m.weights[lo] = 5;
         m.bit_shifts[blo] = 0;
@@ -1275,6 +1417,44 @@ mod tests {
         let r = verify_against(&c, &m);
         assert!(!r.is_valid());
         assert!(r.has(FindingKind::SourceMismatch), "{r}");
+    }
+
+    #[test]
+    fn mutation_gate_pointed_at_a_sibling_row_is_caught() {
+        let (c, mut m) = banked();
+        // Gate 1 (x + y >= 2) now reads the sibling row x + z. Every bank
+        // stays contiguous, one class, and within its plane budget, so only
+        // the check against the source can see it.
+        let g = m.perm[1] as usize;
+        m.gate_rows[g] = m.gate_rows[m.perm[2] as usize];
+        assert!(verify_compiled(&m).is_valid(), "{}", verify_compiled(&m));
+        let r = verify_against(&c, &m);
+        assert!(!r.is_valid());
+        assert!(r.has(FindingKind::SourceMismatch), "{r}");
+    }
+
+    #[test]
+    fn mutation_forged_bank_shape_is_caught() {
+        // A bank split in two: row 0, row 1, row 0, row 1.
+        let (_, mut m) = banked();
+        m.gate_rows.swap(1, 2);
+        let r = verify_compiled(&m);
+        assert!(!r.is_valid());
+        assert!(r.has(FindingKind::BankRow), "{r}");
+
+        // A bank mixing classes.
+        let (_, mut m) = banked();
+        m.classes[1] = GateClass::Pow2;
+        let r = verify_compiled(&m);
+        assert!(!r.is_valid());
+        assert!(r.has(FindingKind::BankRow), "{r}");
+
+        // A bank whose plane budget exceeds every member's need.
+        let (_, mut m) = banked();
+        m.batch_planes[1] += 1;
+        let r = verify_compiled(&m);
+        assert!(!r.is_valid());
+        assert!(r.has(FindingKind::BankRow), "{r}");
     }
 
     #[test]
@@ -1290,13 +1470,13 @@ mod tests {
     #[test]
     fn mutation_wrong_pos_split_is_caught() {
         let (_, mut m) = compiled();
-        // The Unit gate [1, -1, 1] compiles with pos_counts = 2.
+        // The Unit gate [1, -1, 1] compiles to a row with pos_counts = 2.
         let g = m
             .classes
             .iter()
             .position(|&c| c == GateClass::Unit)
             .unwrap();
-        m.pos_counts[g] = 1;
+        m.pos_counts[m.gate_rows[g] as usize] = 1;
         let r = verify_compiled(&m);
         assert!(!r.is_valid());
         assert!(r.has(FindingKind::PosCountSplit), "{r}");
@@ -1305,10 +1485,17 @@ mod tests {
     #[test]
     fn mutation_wrong_plane_budget_is_caught() {
         let (_, mut m) = compiled();
-        m.batch_planes[0] += 1;
+        // One plane too few: the member's sum would overflow its planes.
+        m.batch_planes[0] -= 1;
         let r = verify_compiled(&m);
         assert!(!r.is_valid());
         assert!(r.has(FindingKind::PlaneBudget), "{r}");
+        // One plane too many is sound but not the bank's largest need.
+        let (_, mut m) = compiled();
+        m.batch_planes[0] += 1;
+        let r = verify_compiled(&m);
+        assert!(!r.is_valid());
+        assert!(r.has(FindingKind::BankRow), "{r}");
     }
 
     #[test]

@@ -257,6 +257,32 @@ mod tests {
     }
 
     #[test]
+    fn banks_are_the_distinct_fan_in_multisets_of_each_layer() {
+        // Lemma 3.1/3.2 blocks fire many thresholds on one sum: the compiled
+        // circuit must hold one bank per distinct (wire, weight) fan-in
+        // multiset of each layer, recounted here through `fan_in` alone.
+        let config = CircuitConfig::binary(BilinearAlgorithm::strassen());
+        let mm = MatmulCircuit::theorem_4_9(&config, 4, 1).unwrap();
+        let cc = mm.compiled();
+        let mut distinct = 0;
+        for d in 0..cc.depth() as usize {
+            let mut rows = std::collections::HashSet::new();
+            for &g in cc.layer(d) {
+                let (wires, weights) = cc.fan_in(g as usize);
+                let mut row: Vec<(u32, i64)> =
+                    wires.iter().copied().zip(weights.iter().copied()).collect();
+                row.sort_unstable();
+                rows.insert(row);
+            }
+            distinct += rows.len();
+        }
+        assert_eq!(cc.num_banks(), distinct);
+        assert!(cc.num_banks() < cc.num_gates(), "the geometry shares sums");
+        assert!(cc.num_evaluated_edges() < cc.num_edges());
+        assert_eq!(cc.num_edges(), mm.circuit().num_edges());
+    }
+
+    #[test]
     fn depth_is_4t_plus_1() {
         let config = CircuitConfig::new(BilinearAlgorithm::strassen(), 2);
         for (n, d) in [(4usize, 1u32), (4, 2), (8, 2)] {

@@ -120,11 +120,12 @@ pub trait EvalBackend: Send + Sync {
     ) -> Result<()>;
 }
 
-/// The plane-addition work one bit-sliced pass performs, weighted per gate
+/// The plane-addition work one bit-sliced pass performs — each bank's row
+/// once ([`CompiledCircuit::evaluated_plane_ops`]) — weighted per gate
 /// class: `Unit` edges are raw-lane adds (cheapest), `Pow2` bit-edges pay a
 /// shift decode, `General` bit-edges ripple multi-bit weights.
 fn weighted_plane_ops(circuit: &CompiledCircuit) -> f64 {
-    let [unit, pow2, general] = circuit.class_plane_ops();
+    let [unit, pow2, general] = circuit.evaluated_plane_ops();
     unit as f64 + pow2 as f64 * 1.2 + general as f64 * 1.35
 }
 
@@ -157,6 +158,7 @@ impl EvalBackend for ScalarBackend {
     }
 
     fn cost_model(&self, circuit: &CompiledCircuit, batch: usize) -> f64 {
+        // The scalar oracle sums every gate's fan-in on its own: no banks.
         batch as f64 * circuit.num_edges() as f64
     }
 

@@ -975,11 +975,14 @@ impl<'a> SessionShared<'a> {
     /// unwinding through it.
     fn dispatch_inline(&self, slot: usize, group: RowGroup) -> Result<()> {
         let seq = self.engine.alloc_seq(slot);
+        // The inline path has no queue: record its zero wait, so every
+        // dispatched group counts in `queue_wait` on both paths.
+        let stages = self.stages_for_slot(slot);
+        stages.queue_wait.record(0);
         if self.past_deadline(group.deadline) {
             self.deliver_error(slot, seq, group, RuntimeError::DeadlineExceeded, false);
             return Ok(());
         }
-        let stages = self.stages_for_slot(slot);
         let mut scratch = lock_tolerant(&self.inline_scratch);
         let InlineScratch { arena, refs } = &mut *scratch;
         match self.eval_group_failover(&group, arena, refs, &stages, seq) {

@@ -38,7 +38,9 @@ pub enum TunerPolicy {
 
 /// Fingerprint of a compiled circuit plus the batch bucket, keying the
 /// tuning cache. Collisions only cost a suboptimal-but-correct backend
-/// choice.
+/// choice. `bit_edges` is the stored (per-bank-row) count, so a cache saved
+/// by a build that stored one row per gate misses once for circuits with
+/// shared rows and recalibrates; nothing else changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct TuneKey {
     gates: usize,

@@ -152,6 +152,34 @@ fn mixed_class_circuit() -> CompiledCircuit {
     b.build().compile().unwrap()
 }
 
+/// Lemma 3.1-shaped layers: four sums per layer, each read by six gates
+/// with thresholds 0..6, so the kernel evaluates banks of six members.
+/// Even sums are Unit (±1), odd sums Pow2 ({±1, ±4}).
+fn banked_circuit() -> CompiledCircuit {
+    let mut b = CircuitBuilder::new(16);
+    let mut prev: Vec<Wire> = (0..16).map(Wire::input).collect();
+    for layer in 0..3 {
+        let mut next = Vec::new();
+        for s in 0..4 {
+            let fan: Vec<(Wire, i64)> = (0..7)
+                .map(|k| {
+                    let w = prev[(s * 3 + k + layer) % prev.len()];
+                    let mag = if s % 2 == 1 && k < 2 { 4 } else { 1 };
+                    (w, if k % 3 == 0 { -mag } else { mag })
+                })
+                .collect();
+            for t in 0..6 {
+                next.push(b.add_gate(fan.iter().copied(), t).unwrap());
+            }
+        }
+        prev = next;
+    }
+    for &w in &prev {
+        b.mark_output(w);
+    }
+    b.build().compile().unwrap()
+}
+
 #[test]
 fn arena_path_is_allocation_free_after_warmup() {
     let _guard = SERIAL.lock().unwrap();
@@ -422,6 +450,50 @@ fn mixed_class_circuit_on_simd_path_is_allocation_free_after_warmup() {
     let [unit, pow2, general] = cc.class_counts();
     assert!(unit > 0 && pow2 > 0 && general > 0, "fixture lost its mix");
     assert!(summary.pool_hits > 0, "hits {}", summary.pool_hits);
+}
+
+#[test]
+fn banked_circuit_on_the_widest_simd_path_is_allocation_free_after_warmup() {
+    let _guard = SERIAL.lock().unwrap();
+    let cc = banked_circuit();
+    assert_eq!(cc.num_banks() * 6, cc.num_gates(), "fixture lost its banks");
+    let requests = rows(512);
+
+    let runtime = Runtime::builder()
+        .fixed_backend("wide512")
+        .workers(1)
+        .build();
+
+    let steady_allocs = runtime.open_session(&cc, SessionOptions::default(), |session| {
+        let drive = |requests_to_serve: usize| {
+            let mut served = 0usize;
+            for i in 0..requests_to_serve {
+                session.submit(&requests[i % requests.len()]).unwrap();
+                while let Some(resp) = session.try_next_response().unwrap() {
+                    std::hint::black_box(resp.outputs[0]);
+                    std::hint::black_box(resp.firing_count);
+                    served += 1;
+                }
+            }
+            served
+        };
+
+        drive(4 * 512);
+
+        let before = allocs();
+        let served = drive(10 * 512);
+        let after = allocs();
+        assert!(served >= 9 * 512, "the loop must actually deliver");
+        after - before
+    });
+
+    assert_eq!(
+        steady_allocs,
+        0,
+        "a banked circuit served through the wide512 path must not touch \
+         the allocator once warmed (level: {})",
+        tc_circuit::simd::active_level().name()
+    );
 }
 
 #[test]

@@ -57,6 +57,24 @@ fn empty_session_and_empty_stream_never_probe() {
 }
 
 #[test]
+fn one_worker_sessions_record_a_queue_wait_per_dispatched_group() {
+    // One worker runs every group inline on the submitting thread, with no
+    // queue in between: each group still records one (zero) queue wait.
+    let cc = adder();
+    let runtime = Runtime::builder()
+        .fixed_backend("sliced64")
+        .workers(1)
+        .build();
+    let served = runtime.serve_stream(&cc, rows(200)).unwrap();
+    assert_eq!(served.len(), 200);
+    let summary = runtime.telemetry();
+    // 64 + 64 + 64 + a flushed tail of 8.
+    assert_eq!(summary.groups, 4);
+    assert_eq!(summary.stages.queue_wait.count(), summary.groups);
+    assert_eq!(summary.stages.queue_wait.max(), 0);
+}
+
+#[test]
 fn session_delivers_in_submission_order_with_producer_and_consumer_threads() {
     let cc = adder();
     let requests = rows(1500);

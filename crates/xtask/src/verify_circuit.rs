@@ -6,8 +6,8 @@
 //! plans for an im2col product — then, for each:
 //!
 //! 1. runs the independent checker ([`tc_circuit::verify_against`]):
-//!    structural CSR invariants plus the translation check of every gate's
-//!    wiring, weights, threshold and bit-edges against the source;
+//!    structural CSR and bank invariants plus the translation check of
+//!    every gate's fan-in multiset and threshold against the source;
 //! 2. certifies the constructor's closed-form paper bound
 //!    ([`tc_circuit::PaperBound::certify`]) against the compiled artifact.
 //!
@@ -38,6 +38,8 @@ struct Row {
     depth: u32,
     gates: usize,
     edges: usize,
+    /// Edges the kernel sums per pass: each bank's row once.
+    evaluated_edges: usize,
     report: VerifyReport,
 }
 
@@ -79,6 +81,7 @@ fn check(circuit: &Circuit, compiled: &CompiledCircuit, bound: PaperBound) -> Ro
         depth: compiled.depth(),
         gates: compiled.num_gates(),
         edges: compiled.num_edges(),
+        evaluated_edges: compiled.num_evaluated_edges(),
         report,
     }
 }
@@ -193,15 +196,17 @@ fn build_rows() -> Result<Vec<Row>, String> {
 }
 
 /// Renders the bound table: measured values side by side with the
-/// closed-form bounds they must satisfy.
+/// closed-form bounds they must satisfy, plus the edges the kernel actually
+/// sums once gates sharing a fan-in row are banked.
 fn render_table(rows: &[Row]) -> String {
-    let mut cells: Vec<[String; 7]> = vec![[
+    let mut cells: Vec<[String; 8]> = vec![[
         "constructor".into(),
         "theorem".into(),
         "geometry".into(),
         "depth".into(),
         "gates".into(),
         "edges".into(),
+        "evaluated edges".into(),
         "status".into(),
     ]];
     for row in rows {
@@ -216,10 +221,11 @@ fn render_table(rows: &[Row]) -> String {
             format!("{} ({})", row.depth, row.bound.depth),
             format!("{} ({})", row.gates, row.bound.gates),
             edges,
+            row.evaluated_edges.to_string(),
             row.status(),
         ]);
     }
-    let mut widths = [0usize; 7];
+    let mut widths = [0usize; 8];
     for row in &cells {
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.chars().count());
@@ -304,6 +310,7 @@ mod tests {
         }
         let table = render_table(&rows);
         assert!(table.contains("constructor"));
+        assert!(table.contains("evaluated edges"));
         assert!(table.lines().count() == rows.len() + 1);
     }
 }
