@@ -100,6 +100,19 @@ impl UInt {
     pub fn mark_as_outputs(&self, builder: &mut CircuitBuilder) {
         builder.mark_outputs(self.bits.iter().copied());
     }
+
+    /// Reads this number from a circuit's designated output values, in the
+    /// order [`UInt::mark_as_outputs`] marks them: consumes the first
+    /// `width()` values of `outputs` (LSB first) and advances the slice past
+    /// them.
+    ///
+    /// # Panics
+    /// Panics if fewer than `width()` values remain.
+    pub fn read_outputs(&self, outputs: &mut &[bool]) -> u64 {
+        let (bits, rest) = outputs.split_at(self.width());
+        *outputs = rest;
+        bits.iter().rev().fold(0, |v, &b| v << 1 | u64::from(b))
+    }
 }
 
 /// A (possibly negative) integer in the paper's `x = x⁺ − x⁻` encoding: a pair of
@@ -186,6 +199,26 @@ impl SignedInt {
     pub fn mark_as_outputs(&self, builder: &mut CircuitBuilder) {
         self.pos.mark_as_outputs(builder);
         self.neg.mark_as_outputs(builder);
+    }
+
+    /// Number of designated outputs [`SignedInt::mark_as_outputs`] marks:
+    /// both parts' widths.
+    #[inline]
+    pub fn output_width(&self) -> usize {
+        self.pos.width() + self.neg.width()
+    }
+
+    /// Reads the signed value from a circuit's designated output values, in
+    /// the order [`SignedInt::mark_as_outputs`] marks them: consumes
+    /// [`SignedInt::output_width`] values from the front of `outputs` and
+    /// advances the slice past them.
+    ///
+    /// # Panics
+    /// Panics if fewer than `output_width()` values remain.
+    pub fn read_outputs(&self, outputs: &mut &[bool]) -> i64 {
+        let pos = self.pos.read_outputs(outputs);
+        let neg = self.neg.read_outputs(outputs);
+        pos as i64 - neg as i64
     }
 }
 
@@ -352,6 +385,34 @@ mod tests {
         }
         assert!(x.assign(32, &mut bits).is_err());
         assert!(x.assign(-32, &mut bits).is_err());
+    }
+
+    #[test]
+    fn read_outputs_follows_the_marking_order() {
+        // Parts of different widths, marked back to back: every value must
+        // come back from the output slice exactly as from the wires.
+        let mut alloc = InputAllocator::new();
+        let x = SignedInt::new(alloc.alloc_uint(3), alloc.alloc_uint(5));
+        let y = alloc.alloc_signed(2);
+        let mut b = CircuitBuilder::new(alloc.num_inputs());
+        x.mark_as_outputs(&mut b);
+        y.mark_as_outputs(&mut b);
+        let c = b.build();
+        assert_eq!(c.outputs().len(), x.output_width() + y.output_width());
+        let mut bits = vec![false; c.num_inputs()];
+        for (vx, vy) in [(-31i64, 3i64), (7, -3), (0, 0), (-1, 1)] {
+            x.assign(vx, &mut bits).unwrap();
+            y.assign(vy, &mut bits).unwrap();
+            let ev = c.evaluate(&bits).unwrap();
+            let mut outputs = ev.outputs();
+            assert_eq!(x.read_outputs(&mut outputs), vx);
+            assert_eq!(y.read_outputs(&mut outputs), vy);
+            assert!(outputs.is_empty());
+            assert_eq!(
+                x.pos().read_outputs(&mut ev.outputs()),
+                x.pos().value(&bits, &ev)
+            );
+        }
     }
 
     #[test]

@@ -13,14 +13,20 @@
 //! `batch_speedup_report` prints the measured batched-vs-scalar ratio
 //! explicitly (the acceptance target is ≥ 8x over 64 sequential scalar
 //! evaluations).
+//!
+//! `matmul_n4_d2_evaluate_many` times the served product path end to end:
+//! 1,024 seeded pairs through `MatmulCircuit::evaluate_many_with` (Theorem
+//! 4.9, binary Strassen, N = 4, d = 2) on a runtime pinned to `wide512`,
+//! reported as products/sec.
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fast_matmul::BilinearAlgorithm;
+use fast_matmul::{random_matrix, BilinearAlgorithm, Matrix};
 use tc_circuit::PlaneArena;
 use tc_graph::generators;
-use tcmm_core::{trace::TraceCircuit, CircuitConfig};
+use tc_runtime::Runtime;
+use tcmm_core::{matmul::MatmulCircuit, trace::TraceCircuit, CircuitConfig};
 
 /// Builds a trace circuit with at least 10^5 gates and encodes 64 random
 /// graph adjacency matrices into input rows.
@@ -126,12 +132,41 @@ fn batch_speedup_report(_c: &mut Criterion) {
     );
 }
 
+/// Products/sec through `evaluate_many_with`: encode, one runtime call on
+/// the outputs-only path, decode. Every product of the batch is checked
+/// against `multiply_naive` once before timing.
+fn bench_matmul_evaluate_many(c: &mut Criterion) {
+    const PAIRS: u64 = 1024;
+    let config = CircuitConfig::binary(BilinearAlgorithm::strassen());
+    let mm = MatmulCircuit::theorem_4_9(&config, 4, 2).unwrap();
+    let runtime = Runtime::builder().fixed_backend("wide512").build();
+    let pairs: Vec<(Matrix, Matrix)> = (0..PAIRS)
+        .map(|s| {
+            (
+                random_matrix(4, 1, 2 * s + 1),
+                random_matrix(4, 1, 2 * s + 2),
+            )
+        })
+        .collect();
+    let products = mm.evaluate_many_with(&runtime, &pairs).unwrap();
+    for ((a, b), product) in pairs.iter().zip(&products) {
+        assert_eq!(product, &a.multiply_naive(b).unwrap());
+    }
+
+    let mut group = c.benchmark_group("matmul_n4_d2_evaluate_many");
+    group.throughput(Throughput::Elements(PAIRS));
+    group.bench_function("wide512_x1024", |bench| {
+        bench.iter(|| mm.evaluate_many_with(&runtime, &pairs).unwrap());
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    targets = bench_batch_eval, batch_speedup_report
+    targets = bench_batch_eval, batch_speedup_report, bench_matmul_evaluate_many
 }
 criterion_main!(benches);

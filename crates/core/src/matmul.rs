@@ -14,16 +14,18 @@ use crate::{CircuitConfig, CoreError, Result};
 use fast_matmul::Matrix;
 use tc_arith::{product_signed_repr, InputAllocator, Repr, SignedInt};
 use tc_circuit::{Circuit, CircuitBuilder, CircuitStats, CompiledCircuit, PaperBound};
-use tc_runtime::{Detail, Runtime};
+use tc_runtime::Runtime;
 
 /// A constant-depth threshold circuit computing the product of two `N×N` integer
 /// matrices with bounded-width entries.
 ///
-/// The circuit is lowered to its compiled CSR form once at construction;
-/// every evaluation entry point (scalar, parallel, batched) runs off that
-/// form, so multiplying many matrix pairs never rebuilds per-gate state.
-/// Batched products route through an embedded [`Runtime`];
-/// [`MatmulCircuit::evaluate_many_with`] accepts a shared one.
+/// Every bit of each entry of `C` is a designated output (see
+/// [`SignedInt::mark_as_outputs`]), so products are decoded from the output
+/// values alone. The circuit is lowered to its compiled CSR form once at
+/// construction and both entry points (scalar and batched) run off that
+/// form. Batched products route through an embedded [`Runtime`] on the
+/// outputs-only serving path; [`MatmulCircuit::evaluate_many_with`] accepts
+/// a shared one.
 #[derive(Debug)]
 pub struct MatmulCircuit {
     circuit: Circuit,
@@ -81,6 +83,11 @@ impl MatmulCircuit {
 
         let circuit = builder.build();
         let compiled = circuit.compile()?;
+        debug_assert_eq!(
+            output.iter().map(SignedInt::output_width).sum::<usize>(),
+            compiled.num_outputs(),
+            "every output bit belongs to exactly one entry of C"
+        );
         let bound = crate::bounds::matmul_paper_bound(config, n, &schedule);
         Ok(MatmulCircuit {
             circuit,
@@ -167,8 +174,7 @@ impl MatmulCircuit {
     /// Encodes the operands, evaluates the circuit and decodes the product matrix.
     pub fn evaluate(&self, a: &Matrix, b: &Matrix) -> Result<Matrix> {
         let bits = self.encode(a, b)?;
-        let ev = self.compiled.evaluate(&bits)?;
-        Ok(self.decode(&bits, &ev))
+        Ok(self.decode(self.compiled.evaluate(&bits)?.outputs()))
     }
 
     /// Multiplies many matrix pairs through the embedded serving runtime:
@@ -185,31 +191,14 @@ impl MatmulCircuit {
         runtime: &Runtime,
         pairs: &[(Matrix, Matrix)],
     ) -> Result<Vec<Matrix>> {
-        // Decoding the product reads interior wires, so responses must carry
-        // the full per-gate evaluation (Detail::Full). Those are num_gates
-        // bools each — serve in bounded windows and decode/drop each window
-        // so peak memory never grows with the total pair count. The window
-        // shrinks with circuit size (~128 MB of evaluations at most) but
-        // always holds at least one full 64-lane group.
-        let window_len = ((128usize << 20) / self.compiled.num_gates().max(1)).clamp(64, 2048);
-        let mut products = Vec::with_capacity(pairs.len());
-        for window in pairs.chunks(window_len) {
-            let mut rows = Vec::with_capacity(window.len());
-            for (a, b) in window {
-                rows.push(self.encode(a, b)?);
-            }
-            let responses = runtime
-                .serve_batch_detailed(&self.compiled, &rows, Detail::Full)
-                .map_err(crate::CoreError::from)?;
-            for (bits, response) in rows.iter().zip(&responses) {
-                let ev = response
-                    .evaluation
-                    .as_ref()
-                    .expect("Detail::Full responses carry the evaluation");
-                products.push(self.decode(bits, ev));
-            }
+        let mut rows = Vec::with_capacity(pairs.len());
+        for (a, b) in pairs {
+            rows.push(self.encode(a, b)?);
         }
-        Ok(products)
+        let responses = runtime
+            .serve_batch(&self.compiled, &rows)
+            .map_err(crate::CoreError::from)?;
+        Ok(responses.iter().map(|r| self.decode(&r.outputs)).collect())
     }
 
     /// The embedded serving runtime (telemetry, backend registry).
@@ -224,10 +213,15 @@ impl MatmulCircuit {
         Ok(bits)
     }
 
-    fn decode(&self, bits: &[bool], ev: &tc_circuit::Evaluation) -> Matrix {
-        Matrix::from_fn(self.n, self.n, |i, j| {
-            self.output[i * self.n + j].value(bits, ev)
-        })
+    /// Decodes `C` from the circuit's designated output values, entry by
+    /// entry in row-major order.
+    fn decode(&self, mut outputs: &[bool]) -> Matrix {
+        let entries = self
+            .output
+            .iter()
+            .map(|e| e.read_outputs(&mut outputs))
+            .collect();
+        Matrix::from_vec(self.n, self.n, entries).expect("one entry per output number")
     }
 }
 
@@ -349,7 +343,7 @@ mod tests {
                 .compiled()
                 .evaluate_rows_arena::<W>(&[bits], &mut arena)
                 .unwrap();
-            mm.decode(bits, &ev.evaluation(0).unwrap())
+            mm.decode(&ev.outputs(0).unwrap())
         }
         let config = CircuitConfig::new(BilinearAlgorithm::strassen(), 2);
         let mm = MatmulCircuit::theorem_4_9(&config, 4, 2).unwrap();

@@ -9,8 +9,8 @@ pub enum Detail {
     /// Designated outputs and the firing count only (the cheap serving path).
     #[default]
     Outputs,
-    /// Additionally the full per-gate [`Evaluation`] (needed by callers that
-    /// decode numbers out of interior wires, e.g. matrix-product circuits).
+    /// Additionally the full per-gate [`Evaluation`], for callers that read
+    /// interior wires (gate values that are not designated outputs).
     Full,
 }
 
@@ -94,9 +94,8 @@ pub struct BackendCaps {
 ///
 /// Under [`Detail::Full`] every returned [`Response`] **must** populate
 /// `evaluation` with the request's full [`Evaluation`] — callers that
-/// decode numbers out of interior wires (e.g. matrix-product circuits)
-/// rely on it and treat a missing evaluation as a backend bug. Under
-/// [`Detail::Outputs`] it must be `None`.
+/// read interior wires rely on it and treat a missing evaluation as a
+/// backend bug. Under [`Detail::Outputs`] it must be `None`.
 pub trait EvalBackend: Send + Sync {
     /// The backend's capabilities.
     fn caps(&self) -> BackendCaps;
