@@ -180,6 +180,65 @@ mod tests {
         ));
     }
 
+    /// Builds Lemma 3.1 blocks with `l = 8` for each `k` in `ks` over one
+    /// 9-bit number `x`, evaluates all 512 values of `x` in one 512-lane
+    /// arena pass, and checks each lane — gate values, outputs, firing
+    /// count — against the scalar oracle. Output `j` must be bit `l − k_j`
+    /// of `x` while `x < 2^l`, and 0 once `x` breaks that promise; there the
+    /// top threshold `2^k·2^(l−k)` fires too.
+    fn check_every_sum_value_in_one_wide_pass(ks: &[u32]) {
+        const L: u32 = 8;
+        let mut alloc = InputAllocator::new();
+        let x = alloc.alloc_uint(L as usize + 1);
+        let mut b = CircuitBuilder::new(alloc.num_inputs());
+        let terms: Vec<(Wire, i64)> = x.to_repr().terms().to_vec();
+        for &k in ks {
+            let bit = kth_most_significant_bit(&mut b, &terms, L, k).unwrap();
+            b.mark_output(bit);
+        }
+        let compiled = b.build().compile().unwrap();
+        // Every block's first layer reads one sum: one decoded bank.
+        let members: usize = ks.iter().map(|&k| 1usize << k).sum();
+        assert_eq!(compiled.num_decoded_gates(), members);
+
+        let rows: Vec<Vec<bool>> = (0..2u64 << L)
+            .map(|v| {
+                let mut bits = vec![false; compiled.num_inputs()];
+                x.assign(v, &mut bits).unwrap();
+                bits
+            })
+            .collect();
+        let refs: Vec<&[bool]> = rows.iter().map(Vec::as_slice).collect();
+        let mut arena = tc_circuit::PlaneArena::new();
+        let ev = compiled
+            .evaluate_rows_arena::<8>(&refs, &mut arena)
+            .unwrap();
+        for (v, row) in rows.iter().enumerate() {
+            let want = compiled.evaluate(row).unwrap();
+            assert_eq!(ev.evaluation(v).unwrap(), want, "x={v}");
+            assert_eq!(
+                ev.firing_count(v).unwrap() as usize,
+                want.firing_count(),
+                "x={v}"
+            );
+            for (j, &k) in ks.iter().enumerate() {
+                let bit = v >> L == 0 && (v >> (L - k)) & 1 == 1;
+                assert_eq!(ev.output(v, j).unwrap(), bit, "x={v} k={k}");
+            }
+        }
+    }
+
+    /// Exhaustive over every `k = 1..=l` and every sum value: each block on
+    /// its own, and all of them in one circuit, where their first layers
+    /// share one bank of repeated thresholds.
+    #[test]
+    fn every_block_and_sum_value_decode_in_one_512_lane_pass() {
+        for k in 1..=8 {
+            check_every_sum_value_in_one_wide_pass(&[k]);
+        }
+        check_every_sum_value_in_one_wide_pass(&[1, 2, 3, 4, 5, 6, 7, 8]);
+    }
+
     #[test]
     fn duplicate_wires_in_terms_are_merged() {
         // Passing the same wire twice (weights 1 and 2) is equivalent to weight 3.

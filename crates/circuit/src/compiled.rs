@@ -39,6 +39,22 @@
 //! [`CompiledCircuit::evaluated_plane_ops`] report what the bit-sliced
 //! kernel does per pass: each bank's row once.
 //!
+//! ## Thermometer banks
+//!
+//! Lemma 3.1 emits `y_i = [S ≥ i·2^(l−k)]` for `i = 1..2^k` on one sum, so
+//! its first layer is a bank whose members form a thermometer code of the
+//! sum's top planes. Every bank with at least two members, no negative
+//! weight and a finite plane budget gets a plan (`Thermometers`), found
+//! from its thresholds and weights alone: the largest power of two `2^s`
+//! dividing every threshold, the distinct values `i = t / 2^s` split into
+//! *decode runs* of consecutive values (each value a *group*: the members
+//! with that threshold), and the member multiset split into *count runs*
+//! `{a..=b}`, one per Lemma 3.1 block (two instances sharing a sum give
+//! two equal runs). The kernel decodes each group once and adds each count
+//! run's firings as one number (see `kernel.rs`);
+//! [`CompiledCircuit::num_decoded_gates`] reports how many gates it decodes,
+//! and the verifier checks every plan against its bank's thresholds.
+//!
 //! The scalar oracle and the width-generic bit-sliced kernel behind
 //! [`CompiledCircuit::evaluate_rows_arena`] (see `kernel.rs` and `arena.rs`)
 //! produce bit-identical [`Evaluation`]s (and firing counts) for the same
@@ -202,6 +218,155 @@ pub struct CompiledCircuit {
     pub(crate) perm: std::sync::Arc<[u32]>,
     /// Internal gate id → ORIGINAL gate id.
     pub(crate) inv: Vec<u32>,
+    /// The thermometer plans of the banks the kernel decodes.
+    pub(crate) thermo: Thermometers,
+}
+
+/// No thermometer plan (an unset `Thermometers::row_plans` entry).
+pub(crate) const NO_PLAN: u32 = u32::MAX;
+
+/// How the kernel evaluates one bank as a thermometer code.
+///
+/// Every member threshold is `i·2^shift`, so with `x = ⌊S / 2^shift⌋` —
+/// planes `[shift, p)` of the bank's non-negative sum `S` — a member fires
+/// iff `x ≥ i`. The distinct values `i` are listed in decode runs of
+/// consecutive values, each value a *group* of the members with that
+/// threshold; the member multiset is split into count runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BankPlan {
+    /// The power of two every member threshold is a multiple of.
+    pub(crate) shift: u8,
+    /// This plan's `Thermometers::decode_runs` range.
+    pub(crate) decode: (u32, u32),
+    /// The first decode group; the runs' groups follow in run order.
+    pub(crate) first_group: u32,
+    /// This plan's `Thermometers::count_runs` range.
+    pub(crate) counts: (u32, u32),
+}
+
+/// The `n` consecutive values `a, a + 1, …, a + n − 1` of a decode run:
+/// its groups hold the members with thresholds `(a + j)·2^shift`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DecodeRun {
+    pub(crate) a: i64,
+    pub(crate) n: u32,
+}
+
+/// Members with thresholds `a·2^shift, …, (a + n − 1)·2^shift`, one each
+/// — one Lemma 3.1 block. Together they fire `clamp(x − a + 1, 0, n)`
+/// times: `n` where `last` fired, none where `first` did not, else
+/// `x − (a − 1)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CountRun {
+    pub(crate) a: i64,
+    pub(crate) n: u32,
+    /// Internal id of a member with threshold `a·2^shift` (`y_a`).
+    pub(crate) first: u32,
+    /// Internal id of a member with threshold `(a + n − 1)·2^shift`
+    /// (`y_b`).
+    pub(crate) last: u32,
+}
+
+/// The thermometer plans of a compiled circuit: one per bank with at least
+/// two members, no negative weight and a finite plane budget.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Thermometers {
+    /// Per-row index into `plans`, or [`NO_PLAN`].
+    pub(crate) row_plans: Vec<u32>,
+    pub(crate) plans: Vec<BankPlan>,
+    pub(crate) decode_runs: Vec<DecodeRun>,
+    /// Decode group `k` holds `group_gates[group_offsets[k]..group_offsets[k + 1]]`.
+    pub(crate) group_offsets: Vec<u32>,
+    /// Internal ids of the decoded members, grouped by threshold.
+    pub(crate) group_gates: Vec<u32>,
+    pub(crate) count_runs: Vec<CountRun>,
+}
+
+impl Thermometers {
+    /// Plans every bank that has at least two members, no negative weight
+    /// and a finite plane budget. Banks are the maximal runs of equal
+    /// `gate_rows` entries in internal order.
+    fn plan(gate_rows: &[u32], thresholds: &[i64], rows: &RowCsr) -> Self {
+        let mut t = Thermometers {
+            row_plans: vec![NO_PLAN; rows.len()],
+            group_offsets: vec![0],
+            ..Thermometers::default()
+        };
+        let mut members: Vec<(i64, u32)> = Vec::new();
+        let mut left: Vec<(i64, u32, u32)> = Vec::new();
+        let mut lo = 0;
+        for bank in gate_rows.chunk_by(|a, b| a == b) {
+            let (r, hi) = (bank[0] as usize, lo + bank.len());
+            let edges = rows.offsets[r + 1] - rows.offsets[r];
+            if bank.len() >= 2 && rows.batch_planes[r] != WIDE_GATE && rows.pos_counts[r] == edges {
+                members.clear();
+                // lint:allow(narrowing-cast): internal ids fit the u32 slot space checked at entry
+                members.extend((lo..hi).map(|g| (thresholds[g], g as u32)));
+                t.row_plans[r] = t.push_plan(&mut members, &mut left);
+            }
+            lo = hi;
+        }
+        t
+    }
+
+    /// Plans one bank from its members' `(threshold, internal id)` pairs;
+    /// returns the plan's index. `left` is a reused work buffer.
+    fn push_plan(&mut self, members: &mut [(i64, u32)], left: &mut Vec<(i64, u32, u32)>) -> u32 {
+        let shift = members
+            .iter()
+            .filter(|&&(t, _)| t != 0)
+            .map(|(t, _)| t.trailing_zeros())
+            .min()
+            .unwrap_or(0);
+        for m in members.iter_mut() {
+            m.0 >>= shift;
+        }
+        members.sort_unstable();
+        // lint:allow(narrowing-cast): plan tables are no longer than the gate list, which fits u32
+        let len32 = |len: usize| len as u32;
+        let (runs_lo, counts_lo) = (self.decode_runs.len(), self.count_runs.len());
+        let first_group = len32(self.group_offsets.len() - 1);
+
+        // Decode: one group per distinct value, runs of consecutive values.
+        left.clear();
+        for group in members.chunk_by(|a, b| a.0 == b.0) {
+            let (v, gate) = group[0];
+            match self.decode_runs[runs_lo..].last_mut() {
+                Some(run) if run.a + i64::from(run.n) == v => run.n += 1,
+                _ => self.decode_runs.push(DecodeRun { a: v, n: 1 }),
+            }
+            self.group_gates.extend(group.iter().map(|&(_, g)| g));
+            self.group_offsets.push(len32(self.group_gates.len()));
+            left.push((v, len32(group.len()), gate));
+        }
+
+        // Count: peel maximal runs of consecutive values off the multiset,
+        // one member of each value per pass, until every member is counted.
+        while !left.is_empty() {
+            for run in left.chunk_by(|a, b| a.0 + 1 == b.0) {
+                let (first, last) = (run[0], run[run.len() - 1]);
+                self.count_runs.push(CountRun {
+                    a: first.0,
+                    n: len32(run.len()),
+                    first: first.2,
+                    last: last.2,
+                });
+            }
+            left.retain_mut(|e| {
+                e.1 -= 1;
+                e.1 > 0
+            });
+        }
+
+        self.plans.push(BankPlan {
+            // lint:allow(narrowing-cast): a trailing-zero count of a nonzero i64 is ≤ 63
+            shift: shift as u8,
+            decode: (len32(runs_lo), len32(self.decode_runs.len())),
+            first_group,
+            counts: (len32(counts_lo), len32(self.count_runs.len())),
+        });
+        len32(self.plans.len() - 1)
+    }
 }
 
 /// Appends one bit-edge descriptor per set bit of `weight`'s magnitude to
@@ -580,6 +745,7 @@ impl CompiledCircuit {
             outputs.push(slot_of(wire, num_inputs, &perm) as u32);
         }
 
+        let thermo = Thermometers::plan(&gate_rows, &thresholds, &rows);
         let RowCsr {
             offsets,
             wires,
@@ -615,6 +781,7 @@ impl CompiledCircuit {
             evaluated_plane_ops,
             perm: perm.into(),
             inv,
+            thermo,
         })
     }
 
@@ -662,6 +829,14 @@ impl CompiledCircuit {
     #[inline]
     pub fn num_bit_edges(&self) -> usize {
         self.bit_slots.len()
+    }
+
+    /// Gates the batch kernel decodes from a thermometer plan instead of
+    /// comparing their own threshold: every member of each bank that has at
+    /// least two members, no negative weight and a finite plane budget.
+    #[inline]
+    pub fn num_decoded_gates(&self) -> usize {
+        self.thermo.group_gates.len()
     }
 
     /// The kernel dispatch class of gate `gate_index` (original gate id).
@@ -1064,6 +1239,48 @@ mod tests {
         for row in &rows {
             assert_eq!(c.evaluate(row).unwrap(), cc.evaluate(row).unwrap());
         }
+        assert_arena_matches_scalar(&cc, &rows);
+    }
+
+    #[test]
+    fn thermometer_plans_cover_non_negative_multi_member_banks_only() {
+        let mut b = CircuitBuilder::new(3);
+        let (x, y, z) = (Wire::input(0), Wire::input(1), Wire::input(2));
+        let mut gates = Vec::new();
+        // Decoded: a Unit bank and a General bank, both non-negative, the
+        // latter with a zero and a negative threshold.
+        for t in [1, 2] {
+            gates.push(b.add_gate([(x, 1), (y, 1)], t).unwrap());
+        }
+        for t in [3, 8, 0, -2] {
+            gates.push(b.add_gate([(x, 3), (y, 5)], t).unwrap());
+        }
+        // Kept on the compare: a negative weight, a one-member bank, and
+        // a bank beyond the plane budget.
+        for t in [0, 1] {
+            gates.push(b.add_gate([(x, 1), (y, -1)], t).unwrap());
+        }
+        gates.push(b.add_gate([(x, 1), (z, 1)], 1).unwrap());
+        for t in [1, 2] {
+            gates.push(b.add_gate([(x, i64::MAX), (y, i64::MAX - 2)], t).unwrap());
+        }
+        b.mark_outputs(gates);
+        let cc = b.build().compile().unwrap();
+        assert_eq!(cc.num_decoded_gates(), 6);
+        let planned = |g: usize| {
+            let row = cc.gate_rows[cc.perm[g] as usize] as usize;
+            cc.thermo.row_plans[row] != NO_PLAN
+        };
+        let expected = [
+            true, true, true, true, true, true, false, false, false, false, false,
+        ];
+        assert_eq!(
+            (0..cc.num_gates()).map(planned).collect::<Vec<_>>(),
+            expected
+        );
+        let rows: Vec<[bool; 3]> = (0..8u32)
+            .map(|v| [v & 1 != 0, v & 2 != 0, v & 4 != 0])
+            .collect();
         assert_arena_matches_scalar(&cc, &rows);
     }
 

@@ -31,12 +31,28 @@
 //!   per set bit of each weight magnitude), with the cold per-lane
 //!   `i128` fallback for banks whose weight reach exceeds the plane budget.
 //!
-//! Then every member's threshold is compared against the shared planes, and
-//! every member is stored and counted as a gate of its own. A one-member
-//! bank does exactly the work of an unshared gate, so there is one code
-//! path and no setting.
+//! Then the bank's members are evaluated from the shared planes in one of
+//! two ways:
+//!
+//! * **thermometer decode** — a bank with a plan (at least two members, no
+//!   negative weight; see `Thermometers` in `compiled.rs`) has every
+//!   threshold a multiple `i·2^s`, so its members are a thermometer code
+//!   of `x = ⌊S / 2^s⌋`, planes `[s, p)` of `pos`. Each distinct `i` is
+//!   decoded once, walking one shared MSB-first comparison trie, and
+//!   stored to every member with that threshold. Each count run (one
+//!   Lemma 3.1 block `i = a..=b`) adds its firings,
+//!   `clamp(x − a + 1, 0, b − a + 1)`, to the firing planes as one
+//!   bit-sliced number in one carry pass, clamped by its members `y_a` and
+//!   `y_b`;
+//! * **compare** — every other bank (one member, a negative weight, or the
+//!   wide fallback) compares each member's threshold against `pos − neg`
+//!   and stores and counts each member as a gate of its own, so a
+//!   one-member bank does exactly the work of an unshared gate.
+//!
+//! Either way every gate value and every lane's firing count equal the
+//! scalar oracle's, which still evaluates every gate on its own.
 
-use crate::compiled::{CompiledCircuit, GateClass, FIRING_PLANES, WIDE_GATE};
+use crate::compiled::{BankPlan, CompiledCircuit, GateClass, FIRING_PLANES, NO_PLAN, WIDE_GATE};
 use crate::simd::{self, WordVec, Words};
 
 /// Valid-lane mask for word `word` of a batch carrying `lanes` assignments.
@@ -102,10 +118,13 @@ fn fired_planes<const W: usize, V: WordVec<W>>(
 }
 
 /// Ripple-adds `carry` (already masked to valid lanes) into the bit-sliced
-/// firing counter.
+/// firing counter from plane `i` up.
 #[inline(always)]
-fn count_firing<const W: usize, V: WordVec<W>>(firing: &mut [[u64; W]], mut carry: V) {
-    let mut i = 0;
+fn count_firing<const W: usize, V: WordVec<W>>(
+    firing: &mut [[u64; W]],
+    mut i: usize,
+    mut carry: V,
+) {
     while carry.any() {
         let a = V::load(&firing[i]);
         a.xor(carry).store(&mut firing[i]);
@@ -318,6 +337,9 @@ impl CompiledCircuit {
         // magnitudes, shared across every class arm.
         let mut pos = [[0u64; W]; 64];
         let mut neg = [[0u64; W]; 64];
+        // The thermometer decode's comparison trie: entry `d` holds the
+        // `(x == v, x > v)` lanes over the top `d` planes of `x`.
+        let mut trie = [(V::ones(), V::zero()); 64];
 
         for &(class, seg_lo, seg_hi) in &self.segments {
             let seg_hi = seg_hi as usize;
@@ -333,7 +355,7 @@ impl CompiledCircuit {
                     for g in lo..hi {
                         let fired = V::load(&self.fire_wide_lanes(g, vals, lanes));
                         fired.store(&mut vals[gate_base + g]);
-                        count_firing(firing, fired.and(wmask));
+                        count_firing(firing, 0, fired.and(wmask));
                     }
                     lo = hi;
                     continue;
@@ -347,13 +369,126 @@ impl CompiledCircuit {
                         self.add_bit_edges::<W, V>(r, vals, &mut pos, &mut neg)
                     }
                 }
-                for g in lo..hi {
-                    let fired = fired_planes::<W, V>(&pos, &neg, p, self.thresholds[g]);
-                    fired.store(&mut vals[gate_base + g]);
-                    count_firing(firing, fired.and(wmask));
+                match self.thermo.row_plans[r] {
+                    NO_PLAN => {
+                        for g in lo..hi {
+                            let fired = fired_planes::<W, V>(&pos, &neg, p, self.thresholds[g]);
+                            fired.store(&mut vals[gate_base + g]);
+                            count_firing(firing, 0, fired.and(wmask));
+                        }
+                    }
+                    k => {
+                        let plan = &self.thermo.plans[k as usize];
+                        let gates = &mut vals[gate_base..];
+                        self.decode_bank::<W, V>(plan, &pos, p, gates, &mut trie);
+                        self.count_bank::<W, V>(plan, &pos, p, gates, firing, wmask);
+                    }
                 }
                 lo = hi;
             }
+        }
+    }
+
+    /// Decodes a planned bank: every member fires iff `x ≥ v`, where `x` is
+    /// planes `[shift, p)` of the bank's non-negative sum and `v` its
+    /// threshold over `2^shift`. Values `v ≤ 0` are constant ones, values
+    /// `v ≥ 2^(p − shift)` constant zeros, and the rest walk one MSB-first
+    /// comparison trie: in value order, each value resumes from the prefix
+    /// it shares with the previous one. Each value is stored to every
+    /// member of its group (`gates` is indexed by internal gate id).
+    #[inline(always)]
+    fn decode_bank<const W: usize, V: WordVec<W>>(
+        &self,
+        plan: &BankPlan,
+        pos: &[[u64; W]; 64],
+        p: usize,
+        gates: &mut [[u64; W]],
+        trie: &mut [(V, V); 64],
+    ) {
+        let t = &self.thermo;
+        let s = usize::from(plan.shift);
+        let q = p.saturating_sub(s);
+        let mut group = plan.first_group as usize;
+        let mut prev: Option<u64> = None;
+        for run in &t.decode_runs[plan.decode.0 as usize..plan.decode.1 as usize] {
+            for v in run.a..run.a + i64::from(run.n) {
+                let fired = if v <= 0 {
+                    V::ones()
+                } else if v.unsigned_abs() >> q != 0 {
+                    V::zero()
+                } else {
+                    let v = v.unsigned_abs();
+                    let from = prev.map_or(0, |u| q + (u ^ v).leading_zeros() as usize - 64);
+                    prev = Some(v);
+                    let (mut eq, mut gt) = trie[from];
+                    for d in from..q {
+                        let bit = q - 1 - d;
+                        let x = V::load(&pos[s + bit]);
+                        if (v >> bit) & 1 == 1 {
+                            eq = eq.and(x);
+                        } else {
+                            gt = gt.or(eq.and(x));
+                            eq = eq.and(x.not());
+                        }
+                        trie[d + 1] = (eq, gt);
+                    }
+                    eq.or(gt)
+                };
+                let (lo, hi) = (t.group_offsets[group], t.group_offsets[group + 1]);
+                for &g in &t.group_gates[lo as usize..hi as usize] {
+                    fired.store(&mut gates[g as usize]);
+                }
+                group += 1;
+            }
+        }
+    }
+
+    /// Adds a planned bank's firing count, one count run at a time: the run
+    /// fires `n` times where `y_b` fired, none where `y_a` did not, and
+    /// `x − (a − 1)` times otherwise. That count is formed bit by bit over
+    /// `x`'s low planes and added to the firing planes in one carry pass.
+    #[inline(always)]
+    fn count_bank<const W: usize, V: WordVec<W>>(
+        &self,
+        plan: &BankPlan,
+        pos: &[[u64; W]; 64],
+        p: usize,
+        gates: &[[u64; W]],
+        firing: &mut [[u64; W]],
+        wmask: V,
+    ) {
+        let s = usize::from(plan.shift);
+        for run in &self.thermo.count_runs[plan.counts.0 as usize..plan.counts.1 as usize] {
+            let yb = V::load(&gates[run.last as usize]).and(wmask);
+            let ya = V::load(&gates[run.first as usize]).and(wmask);
+            let mid = ya.and(yb.not());
+            let n = u64::from(run.n);
+            let width = 64 - n.leading_zeros() as usize;
+            // x − (a − 1) = x + (1 − a) modulo 2^width: exact where it is
+            // used, since there it lies in [1, n − 1].
+            let m = 1i64.wrapping_sub(run.a);
+            let (mut add_carry, mut carry) = (V::zero(), V::zero());
+            for i in 0..width {
+                let x = if s + i < p {
+                    V::load(&pos[s + i])
+                } else {
+                    V::zero()
+                };
+                let (d, next) = if (m >> i) & 1 == 1 {
+                    (x.xor(add_carry).not(), x.or(add_carry))
+                } else {
+                    (x.xor(add_carry), x.and(add_carry))
+                };
+                add_carry = next;
+                let mut c = mid.and(d);
+                if (n >> i) & 1 == 1 {
+                    c = c.or(yb);
+                }
+                let f = V::load(&firing[i]);
+                f.xor3(c, carry).store(&mut firing[i]);
+                carry = f.maj(c, carry);
+            }
+            count_firing(firing, width, carry);
         }
     }
 

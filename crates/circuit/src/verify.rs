@@ -18,7 +18,11 @@
 //!    per-class segment tables exactly matching what the batch kernel
 //!    dispatches, and plane-op accounting reconciling row and bit-edge
 //!    counts against `class_plane_ops` (each gate charged its row) and
-//!    `evaluated_plane_ops` (each row once).
+//!    `evaluated_plane_ops` (each row once), and every thermometer plan
+//!    against its bank: a non-negative row within the plane budget, decode
+//!    groups partitioning the members at the thresholds their runs assign,
+//!    and count runs partitioning the threshold multiset with end members
+//!    at the runs' end thresholds.
 //! 2. **Translation check** ([`verify_against`]) — for every gate, the
 //!    compiled row must hold exactly the source gate's `(slot, weight)`
 //!    multiset and the threshold must equal the source's; structurally,
@@ -34,7 +38,7 @@
 //! pre-compile checks of [`Circuit::validate`], so pre- and post-compile
 //! findings speak the same [`FindingKind`]/[`Severity`] vocabulary.
 
-use crate::compiled::{CompiledCircuit, GateClass, BATCH_LANES, WIDE_GATE};
+use crate::compiled::{CompiledCircuit, GateClass, BATCH_LANES, NO_PLAN, WIDE_GATE};
 use crate::{Circuit, Wire};
 use std::fmt;
 
@@ -102,6 +106,12 @@ pub enum FindingKind {
     /// A bit-edge run does not reproduce the binary digits (one per set
     /// bit) of its row's weights.
     BitEdgeCertificate,
+    /// A bank's thermometer plan does not decode its members: the row has
+    /// a negative weight or an unbounded plane budget, the decode groups do
+    /// not partition the members at the thresholds their runs assign, the
+    /// count runs do not partition the members' threshold multiset, or a
+    /// count run's end members do not carry its end thresholds.
+    ThermometerPlan,
     /// A compiled artifact disagrees with its source circuit (gate/input
     /// counts, recomputed depths, a gate's fan-in multiset or its
     /// threshold).
@@ -141,6 +151,7 @@ impl FindingKind {
             FindingKind::BankRow => "bank-row",
             FindingKind::OutputSlot => "output-slot",
             FindingKind::BitEdgeCertificate => "bit-edge-certificate",
+            FindingKind::ThermometerPlan => "thermometer-plan",
             FindingKind::SourceMismatch => "source-mismatch",
             FindingKind::DepthBound => "depth-bound",
             FindingKind::GateBound => "gate-bound",
@@ -796,6 +807,10 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
         );
     }
 
+    if offsets_ok {
+        verify_thermometers(c, r, &first_member);
+    }
+
     // ── Outputs stay inside the slot space.
     for (i, &slot) in c.outputs.iter().enumerate() {
         if slot as usize >= slots {
@@ -808,6 +823,167 @@ fn verify_compiled_into(c: &CompiledCircuit, r: &mut VerifyReport) -> bool {
     }
 
     offsets_ok
+}
+
+/// Checks every thermometer plan against the bank it decodes, so that the
+/// kernel's decode and run counts equal per-member threshold compares:
+///
+/// * the planned row has no negative weight (its sum is the `pos` planes
+///   alone) and a finite plane budget;
+/// * the decode groups, read in run order, partition the bank's members,
+///   and every gate of a run's `j`-th group has threshold `(a + j)·2^shift`;
+/// * the count runs' values `(a + j)·2^shift` partition the members'
+///   threshold multiset;
+/// * each count run's end members lie in the bank and carry thresholds
+///   `a·2^shift` and `(a + n − 1)·2^shift`.
+///
+/// All arithmetic is `i128`, so a forged run cannot overflow it.
+fn verify_thermometers(c: &CompiledCircuit, r: &mut VerifyReport, first_member: &[usize]) {
+    let t = &c.thermo;
+    let g_count = c.gate_rows.len();
+    let kind = FindingKind::ThermometerPlan;
+    let offsets_ok = t.group_offsets.first() == Some(&0)
+        && t.group_offsets.last().map(|&o| o as usize) == Some(t.group_gates.len())
+        && t.group_offsets.windows(2).all(|w| w[0] <= w[1]);
+    if t.row_plans.len() != c.pos_counts.len() || !offsets_ok {
+        r.error(kind, None, "plan tables are malformed".to_string());
+        return;
+    }
+    let mut decoded = vec![false; g_count];
+    let mut want: Vec<i128> = Vec::new();
+    let mut got: Vec<i128> = Vec::new();
+    for (row, &k) in t.row_plans.iter().enumerate() {
+        if k == NO_PLAN || first_member[row] == NONE {
+            continue;
+        }
+        let first = first_member[row];
+        let gate = Some(c.inv[first] as usize);
+        let mut end = first + 1;
+        while end < g_count && c.gate_rows[end] as usize == row {
+            end += 1;
+        }
+        let bank = first..end;
+        let Some(plan) = t.plans.get(k as usize) else {
+            r.error(kind, gate, format!("row {row} names missing plan {k}"));
+            continue;
+        };
+        let (lo, hi) = (c.offsets[row] as usize, c.offsets[row + 1] as usize);
+        if c.weights[lo..hi].iter().any(|&w| w < 0) {
+            r.error(kind, gate, format!("row {row} has a negative weight"));
+        }
+        if c.batch_planes[row] == WIDE_GATE {
+            r.error(kind, gate, format!("row {row} has no finite plane budget"));
+        }
+        let shift = u32::from(plan.shift);
+        let in_range = |(a, b): (u32, u32), len: usize| a <= b && b as usize <= len;
+        if shift >= 64
+            || !in_range(plan.decode, t.decode_runs.len())
+            || !in_range(plan.counts, t.count_runs.len())
+        {
+            r.error(
+                kind,
+                gate,
+                format!("row {row} plan {plan:?} is out of range"),
+            );
+            continue;
+        }
+        let threshold = |g: usize| i128::from(c.thresholds[g]);
+
+        // Decode groups: in run order, each group holds the members whose
+        // threshold is the run's next value.
+        let mut group = plan.first_group as usize;
+        let mut covered = 0usize;
+        'runs: for run in &t.decode_runs[plan.decode.0 as usize..plan.decode.1 as usize] {
+            for j in 0..run.n {
+                let value = (i128::from(run.a) + i128::from(j)) << shift;
+                if group + 1 >= t.group_offsets.len() {
+                    r.error(
+                        kind,
+                        gate,
+                        format!("row {row} decode runs outrun the groups"),
+                    );
+                    break 'runs;
+                }
+                let (glo, ghi) = (t.group_offsets[group], t.group_offsets[group + 1]);
+                let members = &t.group_gates[glo as usize..ghi as usize];
+                if members.is_empty() {
+                    r.error(
+                        kind,
+                        gate,
+                        format!("row {row} decode group {group} is empty"),
+                    );
+                }
+                for &g in members {
+                    let g = g as usize;
+                    if !bank.contains(&g) || std::mem::replace(&mut decoded[g], true) {
+                        r.error(
+                            kind,
+                            gate,
+                            format!("row {row} group {group} holds internal gate {g}, not an undecoded member"),
+                        );
+                    } else if threshold(g) != value {
+                        r.error(
+                            kind,
+                            Some(c.inv[g] as usize),
+                            format!(
+                                "threshold {} but group {group} assigns {value}",
+                                threshold(g)
+                            ),
+                        );
+                    }
+                    covered += 1;
+                }
+                group += 1;
+            }
+        }
+        if covered != bank.len() {
+            r.error(
+                kind,
+                gate,
+                format!(
+                    "row {row} groups hold {covered} gates, not its {} members",
+                    bank.len()
+                ),
+            );
+        }
+
+        // Count runs: their values partition the threshold multiset, and
+        // their end members carry the end values.
+        want.clear();
+        want.extend(bank.clone().map(threshold));
+        want.sort_unstable();
+        got.clear();
+        for run in &t.count_runs[plan.counts.0 as usize..plan.counts.1 as usize] {
+            if run.n == 0 || got.len() + run.n as usize > bank.len() {
+                got.clear();
+                break;
+            }
+            let a = i128::from(run.a);
+            got.extend((0..run.n).map(|j| (a + i128::from(j)) << shift));
+            let b = a + i128::from(run.n) - 1;
+            for (end_gate, value) in [(run.first, a << shift), (run.last, b << shift)] {
+                let g = end_gate as usize;
+                if !bank.contains(&g) || threshold(g) != value {
+                    r.error(
+                        kind,
+                        gate,
+                        format!("row {row} count run {run:?}: end member {g} is not a member with threshold {value}"),
+                    );
+                }
+            }
+        }
+        got.sort_unstable();
+        if got != want {
+            r.error(
+                kind,
+                gate,
+                format!(
+                    "row {row} count runs do not partition its {} member thresholds",
+                    bank.len()
+                ),
+            );
+        }
+    }
 }
 
 /// Verifies a compiled circuit *against its source*: all of
@@ -1200,6 +1376,7 @@ impl PaperBound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::DecodeRun;
     use crate::{CircuitBuilder, Wire};
 
     fn mixed_circuit() -> Circuit {
@@ -1423,10 +1600,12 @@ mod tests {
     fn mutation_gate_pointed_at_a_sibling_row_is_caught() {
         let (c, mut m) = banked();
         // Gate 1 (x + y >= 2) now reads the sibling row x + z. Every bank
-        // stays contiguous, one class, and within its plane budget, so only
+        // stays contiguous, one class, and within its plane budget, and the
+        // banks drop their thermometer plans (which no bank needs), so only
         // the check against the source can see it.
         let g = m.perm[1] as usize;
         m.gate_rows[g] = m.gate_rows[m.perm[2] as usize];
+        m.thermo.row_plans.fill(NO_PLAN);
         assert!(verify_compiled(&m).is_valid(), "{}", verify_compiled(&m));
         let r = verify_against(&c, &m);
         assert!(!r.is_valid());
@@ -1527,6 +1706,152 @@ mod tests {
         // ...and the source cross-check rejects the record as well.
         let r = verify_against(&c, &m);
         assert!(!r.is_valid());
+    }
+
+    /// Thermometer banks: `x + 2y + 4z` read at the thresholds of a Lemma
+    /// 3.1 block `{2, 4, 6, 8}` and of a second block `{4, 8}` (one bank:
+    /// values `{1, 2, 3, 4}` and `{2, 4}` at shift 1), and the Unit sum
+    /// `x + w` read at thresholds 1 and 2; one top gate reads all eight.
+    fn thermometer() -> (Circuit, CompiledCircuit) {
+        let mut b = CircuitBuilder::new(4);
+        let (x, y, z, w) = (
+            Wire::input(0),
+            Wire::input(1),
+            Wire::input(2),
+            Wire::input(3),
+        );
+        let mut members = Vec::new();
+        for t in [2, 4, 6, 8, 4, 8] {
+            members.push(b.add_gate([(x, 1), (y, 2), (z, 4)], t).unwrap());
+        }
+        for t in [1, 2] {
+            members.push(b.add_gate([(x, 1), (w, 1)], t).unwrap());
+        }
+        let top = b.add_gate(members.iter().map(|&g| (g, 1)), 4).unwrap();
+        b.mark_output(top);
+        let c = b.build();
+        let compiled = c.compile().unwrap();
+        (c, compiled)
+    }
+
+    /// The plan index of original gate `g`'s bank.
+    fn plan_of(m: &CompiledCircuit, g: usize) -> usize {
+        let row = m.gate_rows[m.perm[g] as usize] as usize;
+        m.thermo.row_plans[row] as usize
+    }
+
+    /// `true` when `m` fails verification with thermometer-plan findings
+    /// only: every other rule passes the forged artifact.
+    fn only_the_plan_check_fails(m: &CompiledCircuit) -> bool {
+        let r = verify_compiled(m);
+        !r.is_valid()
+            && r.findings
+                .iter()
+                .all(|f| f.kind == FindingKind::ThermometerPlan)
+    }
+
+    #[test]
+    fn thermometer_banks_are_planned_and_verify() {
+        let (c, m) = thermometer();
+        assert_eq!(m.num_decoded_gates(), 8);
+        let t = &m.thermo;
+        let plan = t.plans[plan_of(&m, 0)];
+        assert_eq!(plan.shift, 1);
+        let runs = &t.decode_runs[plan.decode.0 as usize..plan.decode.1 as usize];
+        assert_eq!(runs, [DecodeRun { a: 1, n: 4 }]);
+        let counts: Vec<(i64, u32)> = t.count_runs[plan.counts.0 as usize..plan.counts.1 as usize]
+            .iter()
+            .map(|run| (run.a, run.n))
+            .collect();
+        assert_eq!(counts, [(1, 4), (2, 1), (4, 1)]);
+        assert_eq!(t.plans[plan_of(&m, 6)].shift, 0);
+        // The top gate is a one-member bank: it keeps the compare.
+        assert_eq!(
+            t.row_plans[m.gate_rows[m.perm[8] as usize] as usize],
+            NO_PLAN
+        );
+        let r = verify_against(&c, &m);
+        assert!(r.is_valid(), "{r}");
+        let rows: Vec<[bool; 4]> = (0..16u32)
+            .map(|v| [v & 1 != 0, v & 2 != 0, v & 4 != 0, v & 8 != 0])
+            .collect();
+        crate::arena::assert_arena_matches_scalar(&m, &rows);
+    }
+
+    #[test]
+    fn thermometer_mutation_forged_shift_is_caught() {
+        let (_, mut m) = thermometer();
+        let k = plan_of(&m, 0);
+        m.thermo.plans[k].shift = 2;
+        assert!(only_the_plan_check_fails(&m), "{}", verify_compiled(&m));
+        m.thermo.plans[k].shift = 64;
+        assert!(only_the_plan_check_fails(&m), "{}", verify_compiled(&m));
+    }
+
+    #[test]
+    fn thermometer_mutation_forged_decode_run_is_caught() {
+        let (_, mut m) = thermometer();
+        let run = m.thermo.plans[plan_of(&m, 0)].decode.0 as usize;
+        m.thermo.decode_runs[run].a = 2;
+        assert!(only_the_plan_check_fails(&m), "{}", verify_compiled(&m));
+        let (_, mut m) = thermometer();
+        m.thermo.decode_runs[run].n = 3;
+        assert!(only_the_plan_check_fails(&m), "{}", verify_compiled(&m));
+    }
+
+    #[test]
+    fn thermometer_mutation_forged_count_run_is_caught() {
+        let (_, mut m) = thermometer();
+        let run = m.thermo.plans[plan_of(&m, 0)].counts.0 as usize;
+        assert_eq!(m.thermo.count_runs[run].n, 4);
+        m.thermo.count_runs[run].a = 0;
+        assert!(only_the_plan_check_fails(&m), "{}", verify_compiled(&m));
+        let (_, mut m) = thermometer();
+        m.thermo.count_runs[run].n = 3;
+        assert!(only_the_plan_check_fails(&m), "{}", verify_compiled(&m));
+    }
+
+    #[test]
+    fn thermometer_mutation_forged_group_gate_is_caught() {
+        // Swap the members of thresholds 2 and 6 between their groups: the
+        // groups still partition the bank, at the wrong thresholds.
+        let (_, mut m) = thermometer();
+        let plan = m.thermo.plans[plan_of(&m, 0)];
+        let group = |k: u32| m.thermo.group_offsets[(plan.first_group + k) as usize] as usize;
+        let (g2, g6) = (group(0), group(2));
+        assert_eq!(m.thermo.group_gates[g2], m.perm[0]);
+        assert_eq!(m.thermo.group_gates[g6], m.perm[2]);
+        m.thermo.group_gates.swap(g2, g6);
+        assert!(only_the_plan_check_fails(&m), "{}", verify_compiled(&m));
+        // A group naming a gate of another bank.
+        let (_, mut m) = thermometer();
+        m.thermo.group_gates[g2] = m.perm[6];
+        assert!(only_the_plan_check_fails(&m), "{}", verify_compiled(&m));
+    }
+
+    #[test]
+    fn thermometer_mutation_forged_end_members_are_caught() {
+        // y_a of run 1..=4 replaced by the member at threshold 4.
+        let (_, mut m) = thermometer();
+        let run = m.thermo.plans[plan_of(&m, 0)].counts.0 as usize;
+        m.thermo.count_runs[run].first = m.perm[1];
+        assert!(only_the_plan_check_fails(&m), "{}", verify_compiled(&m));
+        // y_b of run 1..=4 replaced by the member at threshold 6.
+        let (_, mut m) = thermometer();
+        m.thermo.count_runs[run].last = m.perm[2];
+        assert!(only_the_plan_check_fails(&m), "{}", verify_compiled(&m));
+    }
+
+    #[test]
+    fn thermometer_mutation_plan_on_a_negative_weight_row_is_caught() {
+        // Flip the Unit row x + w to x − w, keeping the row canonical
+        // (non-negative weights first) and its plan in place.
+        let (_, mut m) = thermometer();
+        let row = m.gate_rows[m.perm[6] as usize] as usize;
+        let hi = m.offsets[row + 1] as usize;
+        m.weights[hi - 1] = -1;
+        m.pos_counts[row] -= 1;
+        assert!(only_the_plan_check_fails(&m), "{}", verify_compiled(&m));
     }
 
     // ── Paper-bound certification plumbing.

@@ -11,12 +11,17 @@
 //! a second, `General` bank. Members of the sums in one layer are emitted
 //! round-robin, so banks are also found when their members are not
 //! adjacent in the source.
+//!
+//! A second generator draws non-negative Lemma 3.1-shaped sums, the banks
+//! the kernel decodes as thermometer codes: thresholds are unions of runs
+//! `{i·2^s : i = a..=b}`, with duplicates across runs, `a ≤ 0`, `b·2^s`
+//! beyond the sum's reach, and one-member banks.
 
 mod common;
 
 use common::{assert_arena_matches_scalar, random_rows};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use tc_circuit::{verify_against, Circuit, CircuitBuilder, CompiledCircuit, GateClass, Wire};
 
 /// One sum: its edges as (wire ordinal, weight selector), and its members
@@ -110,19 +115,87 @@ fn member(sum: &[(Wire, i64)], t: i64, variant: u64) -> GateDef {
     }
 }
 
-/// Independent bank count: distinct (layer, class, sorted fan-in) through
-/// the public per-gate accessors.
+/// One non-negative Lemma 3.1-shaped sum: its edges as (wire ordinal,
+/// weight selector), its shift `s`, its threshold runs `(a, n)` — each the
+/// thresholds `{(a + j)·2^s : j < n}` — and a seed for the members' edge
+/// orders.
+type ThermometerSpec = (Vec<(usize, i64)>, u32, Vec<(i64, i64)>, u64);
+
+fn thermometer_spec() -> impl Strategy<Value = (usize, Vec<SumSpec>)> {
+    (
+        1usize..7,
+        prop::collection::vec(
+            (
+                prop::collection::vec((0usize..96, 0i64..41), 1..9),
+                0u32..5,
+                prop::collection::vec((-3i64..7, 1i64..9), 1..4),
+                any::<u64>(),
+            ),
+            1..13,
+        ),
+    )
+        .prop_map(|(num_inputs, sums)| {
+            let sums = sums.into_iter().map(thermometer_sum).collect();
+            (num_inputs, sums)
+        })
+}
+
+/// Expands a thermometer sum into its members: one per threshold of every
+/// run, each listing the sum's edges as given or permuted (never a sign
+/// flip or a wide threshold). A seed divisible by 4 keeps only the first
+/// member, a one-member bank.
+fn thermometer_sum((edges, shift, runs, seed): ThermometerSpec) -> SumSpec {
+    let mut thresholds: Vec<i64> = runs
+        .iter()
+        .flat_map(|&(a, n)| (a..a + n).map(move |i| i << shift))
+        .collect();
+    if seed % 4 == 0 {
+        thresholds.truncate(1);
+    }
+    let members = thresholds
+        .into_iter()
+        .enumerate()
+        .map(|(j, t)| (t, (seed.rotate_left(7 * j as u32) & !7) | (j as u64 % 3)))
+        .collect();
+    (edges, members)
+}
+
+/// A gate's bank key: (layer, class, sorted fan-in), through the public
+/// per-gate accessors.
+fn bank_key(compiled: &CompiledCircuit, g: usize) -> (u32, usize, Vec<(u32, i64)>) {
+    let (wires, weights) = compiled.fan_in(g);
+    let mut row: Vec<(u32, i64)> = wires.iter().copied().zip(weights.iter().copied()).collect();
+    row.sort_unstable();
+    (compiled.gate_depth(g), compiled.gate_class(g).index(), row)
+}
+
+/// Independent bank count: distinct bank keys.
 fn recount_banks(compiled: &CompiledCircuit) -> usize {
     let banks: HashSet<_> = (0..compiled.num_gates())
-        .map(|g| {
-            let (wires, weights) = compiled.fan_in(g);
-            let mut row: Vec<(u32, i64)> =
-                wires.iter().copied().zip(weights.iter().copied()).collect();
-            row.sort_unstable();
-            (compiled.gate_depth(g), compiled.gate_class(g).index(), row)
-        })
+        .map(|g| bank_key(compiled, g))
         .collect();
     banks.len()
+}
+
+/// Independent count of the gates the kernel decodes: the members of every
+/// bank with at least two members, no negative weight, and every member's
+/// reach plus |threshold| within the 64-plane budget.
+fn recount_decodable(compiled: &CompiledCircuit) -> usize {
+    let mut banks: HashMap<_, (usize, bool)> = HashMap::new();
+    for g in 0..compiled.num_gates() {
+        let weights = compiled.fan_in(g).1;
+        let reach: i128 = weights.iter().map(|w| i128::from(w.unsigned_abs())).sum();
+        let need = reach + i128::from(compiled.threshold(g).unsigned_abs());
+        let fits = 128 - (need + 1).leading_zeros() + 2 < 64;
+        let bank = banks.entry(bank_key(compiled, g)).or_insert((0, true));
+        bank.0 += 1;
+        bank.1 &= fits && weights.iter().all(|&w| w >= 0);
+    }
+    banks
+        .values()
+        .filter(|&&(members, ok)| members >= 2 && ok)
+        .map(|&(members, _)| members)
+        .sum()
 }
 
 fn check_banked(circuit: &Circuit, rows: &[Vec<bool>]) -> Result<(), String> {
@@ -130,6 +203,7 @@ fn check_banked(circuit: &Circuit, rows: &[Vec<bool>]) -> Result<(), String> {
     let report = verify_against(circuit, &compiled);
     prop_assert!(report.is_valid(), "{}", report);
     prop_assert_eq!(compiled.num_banks(), recount_banks(&compiled));
+    prop_assert_eq!(compiled.num_decoded_gates(), recount_decodable(&compiled));
     prop_assert_eq!(compiled.num_edges(), circuit.num_edges());
     prop_assert!(compiled.num_evaluated_edges() <= compiled.num_edges());
     assert_arena_matches_scalar(&compiled, rows)
@@ -160,6 +234,34 @@ proptest! {
                 _ => sign * (3 + (s.unsigned_abs() as i64 % 37) * 2),
             }
         });
+        check_banked(&circuit, &random_rows(num_inputs, width, seed))?;
+    }
+
+    /// Non-negative thermometer banks over ±1 weights: Unit.
+    #[test]
+    fn unit_thermometer_banks_match_scalar((num_inputs, spec) in thermometer_spec(),
+                                           seed in any::<u64>(),
+                                           width in 1usize..129) {
+        let circuit = build_banked(num_inputs, &spec, |_| 1);
+        check_banked(&circuit, &random_rows(num_inputs, width, seed))?;
+    }
+
+    /// Non-negative thermometer banks over power-of-two weights: Pow2.
+    #[test]
+    fn pow2_thermometer_banks_match_scalar((num_inputs, spec) in thermometer_spec(),
+                                           seed in any::<u64>(),
+                                           width in 1usize..129) {
+        let circuit = build_banked(num_inputs, &spec, |s| 1 << (s % 6));
+        check_banked(&circuit, &random_rows(num_inputs, width, seed))?;
+    }
+
+    /// Non-negative thermometer banks over weights 1..=13: General (and
+    /// Unit or Pow2 where a sum happens to draw only those).
+    #[test]
+    fn general_thermometer_banks_match_scalar((num_inputs, spec) in thermometer_spec(),
+                                              seed in any::<u64>(),
+                                              width in 1usize..129) {
+        let circuit = build_banked(num_inputs, &spec, |s| 1 + s % 13);
         check_banked(&circuit, &random_rows(num_inputs, width, seed))?;
     }
 }

@@ -154,7 +154,10 @@ fn mixed_class_circuit() -> CompiledCircuit {
 
 /// Lemma 3.1-shaped layers: four sums per layer, each read by six gates
 /// with thresholds 0..6, so the kernel evaluates banks of six members.
-/// Even sums are Unit (±1), odd sums Pow2 ({±1, ±4}).
+/// Even sums are Unit (±1), odd sums Pow2 ({±1, ±4}). Two more sums per
+/// layer have no negative weight — Unit, and Pow2 ({1, 2, 4}) — and are
+/// read at the thresholds of two Lemma 3.1 blocks, `{2, 4, 6, 8}` and
+/// `{4, 8}`: the banks the kernel decodes as thermometer codes.
 fn banked_circuit() -> CompiledCircuit {
     let mut b = CircuitBuilder::new(16);
     let mut prev: Vec<Wire> = (0..16).map(Wire::input).collect();
@@ -169,6 +172,17 @@ fn banked_circuit() -> CompiledCircuit {
                 })
                 .collect();
             for t in 0..6 {
+                next.push(b.add_gate(fan.iter().copied(), t).unwrap());
+            }
+        }
+        for s in 0..2 {
+            let fan: Vec<(Wire, i64)> = (0..7)
+                .map(|k| {
+                    let w = prev[(s * 5 + k + layer) % prev.len()];
+                    (w, if s == 1 { 1 << (k % 3) } else { 1 })
+                })
+                .collect();
+            for t in [2, 4, 6, 8, 4, 8] {
                 next.push(b.add_gate(fan.iter().copied(), t).unwrap());
             }
         }
@@ -457,6 +471,11 @@ fn banked_circuit_on_the_widest_simd_path_is_allocation_free_after_warmup() {
     let _guard = SERIAL.lock().unwrap();
     let cc = banked_circuit();
     assert_eq!(cc.num_banks() * 6, cc.num_gates(), "fixture lost its banks");
+    assert_eq!(
+        cc.num_decoded_gates(),
+        3 * 2 * 6,
+        "fixture lost its thermometer banks"
+    );
     let requests = rows(512);
 
     let runtime = Runtime::builder()

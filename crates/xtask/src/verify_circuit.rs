@@ -11,15 +11,21 @@
 //! 2. certifies the constructor's closed-form paper bound
 //!    ([`tc_circuit::PaperBound::certify`]) against the compiled artifact.
 //!
+//! The table also reports the gates the kernel decodes from thermometer
+//! plans ([`CompiledCircuit::num_decoded_gates`]).
+//!
 //! The per-constructor bound table goes to stdout (and, with
 //! `--output <path>`, to a file the CI job archives); any error-severity
 //! finding makes the process exit non-zero.
 
+use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
 
 use fast_matmul::BilinearAlgorithm;
-use tc_circuit::{verify_against, Circuit, CompiledCircuit, PaperBound, Severity, VerifyReport};
+use tc_circuit::{
+    verify_against, Circuit, CompiledCircuit, GateClass, PaperBound, Severity, VerifyReport,
+};
 use tc_convnet::{ConvLayerSpec, MatmulBackend};
 use tc_graph::TriangleOracle;
 use tcmm_core::matmul::MatmulCircuit;
@@ -40,12 +46,18 @@ struct Row {
     edges: usize,
     /// Edges the kernel sums per pass: each bank's row once.
     evaluated_edges: usize,
+    /// Gates the kernel decodes from a thermometer plan.
+    decoded_gates: usize,
+    /// Independent recount of the gates that should be decoded; the row
+    /// fails when it differs from `decoded_gates`.
+    decodable_gates: usize,
     report: VerifyReport,
 }
 
 impl Row {
+    /// Verified, and decoding exactly the gates the plan rule names.
     fn ok(&self) -> bool {
-        self.report.is_valid()
+        self.report.is_valid() && self.decoded_gates == self.decodable_gates
     }
 
     /// Labels a row built through `surface`, a wrapper around the bound's
@@ -63,6 +75,12 @@ impl Row {
             .iter()
             .filter(|f| f.severity == Severity::Advice)
             .count();
+        if self.decoded_gates != self.decodable_gates {
+            return format!(
+                "decodes {} of {} gates",
+                self.decoded_gates, self.decodable_gates
+            );
+        }
         match (self.report.error_count(), advice) {
             (0, 0) => "ok".to_string(),
             (0, a) => format!("ok ({a} advice)"),
@@ -82,8 +100,40 @@ fn check(circuit: &Circuit, compiled: &CompiledCircuit, bound: PaperBound) -> Ro
         gates: compiled.num_gates(),
         edges: compiled.num_edges(),
         evaluated_edges: compiled.num_evaluated_edges(),
+        decoded_gates: compiled.num_decoded_gates(),
+        decodable_gates: decodable_gates(compiled),
         report,
     }
+}
+
+/// Recounts, through the public per-gate accessors, the gates the kernel
+/// should decode: every member of each bank (the gates sharing depth,
+/// class and canonical fan-in row) that has at least two members, no
+/// negative weight, and every member's reach plus |threshold| within the
+/// 64-plane budget.
+fn decodable_gates(compiled: &CompiledCircuit) -> usize {
+    type Bank<'a> = (u32, GateClass, &'a [u32], &'a [i64]);
+    let mut banks: HashMap<Bank<'_>, (usize, bool)> = HashMap::new();
+    for g in 0..compiled.num_gates() {
+        let (wires, weights) = compiled.fan_in(g);
+        let reach: i128 = weights.iter().map(|w| i128::from(w.unsigned_abs())).sum();
+        let need = reach + i128::from(compiled.threshold(g).unsigned_abs());
+        let fits = 128 - (need + 1).leading_zeros() + 2 < 64;
+        let key = (
+            compiled.gate_depth(g),
+            compiled.gate_class(g),
+            wires,
+            weights,
+        );
+        let bank = banks.entry(key).or_insert((0, true));
+        bank.0 += 1;
+        bank.1 &= fits && weights.iter().all(|&w| w >= 0);
+    }
+    banks
+        .values()
+        .filter(|&&(members, ok)| members >= 2 && ok)
+        .map(|&(members, _)| members)
+        .sum()
 }
 
 /// Builds every sweep geometry. Kept deliberately exhaustive over the
@@ -197,9 +247,10 @@ fn build_rows() -> Result<Vec<Row>, String> {
 
 /// Renders the bound table: measured values side by side with the
 /// closed-form bounds they must satisfy, plus the edges the kernel actually
-/// sums once gates sharing a fan-in row are banked.
+/// sums once gates sharing a fan-in row are banked and the gates it decodes
+/// from thermometer plans.
 fn render_table(rows: &[Row]) -> String {
-    let mut cells: Vec<[String; 8]> = vec![[
+    let mut cells: Vec<[String; 9]> = vec![[
         "constructor".into(),
         "theorem".into(),
         "geometry".into(),
@@ -207,6 +258,7 @@ fn render_table(rows: &[Row]) -> String {
         "gates".into(),
         "edges".into(),
         "evaluated edges".into(),
+        "decoded gates".into(),
         "status".into(),
     ]];
     for row in rows {
@@ -222,10 +274,11 @@ fn render_table(rows: &[Row]) -> String {
             format!("{} ({})", row.gates, row.bound.gates),
             edges,
             row.evaluated_edges.to_string(),
+            row.decoded_gates.to_string(),
             row.status(),
         ]);
     }
-    let mut widths = [0usize; 8];
+    let mut widths = [0usize; 9];
     for row in &cells {
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.chars().count());
@@ -264,8 +317,12 @@ pub fn run(output: Option<&Path>) -> ExitCode {
     let failed: Vec<&Row> = rows.iter().filter(|r| !r.ok()).collect();
     for row in &failed {
         eprintln!(
-            "\n{} ({}, {}) failed verification:\n{}",
-            row.label, row.bound.theorem, row.bound.geometry, row.report
+            "\n{} ({}, {}) failed verification ({}):\n{}",
+            row.label,
+            row.bound.theorem,
+            row.bound.geometry,
+            row.status(),
+            row.report
         );
     }
     if failed.is_empty() {
@@ -287,13 +344,20 @@ pub fn run(output: Option<&Path>) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The sweep, built once for every test of this module.
+    fn sweep() -> &'static [Row] {
+        static ROWS: OnceLock<Vec<Row>> = OnceLock::new();
+        ROWS.get_or_init(|| build_rows().expect("all sweep geometries build"))
+    }
 
     #[test]
     fn every_sweep_geometry_certifies() {
-        let rows = build_rows().expect("all sweep geometries build");
+        let rows = sweep();
         assert!(rows.len() >= 12, "sweep covers every constructor surface");
         let mut seen = std::collections::HashSet::new();
-        for row in &rows {
+        for row in rows {
             assert!(
                 row.ok(),
                 "{} ({}) failed:\n{}",
@@ -308,9 +372,27 @@ mod tests {
                 row.bound.geometry
             );
         }
-        let table = render_table(&rows);
+        let table = render_table(rows);
         assert!(table.contains("constructor"));
         assert!(table.contains("evaluated edges"));
+        assert!(table.contains("decoded gates"));
         assert!(table.lines().count() == rows.len() + 1);
+    }
+
+    /// On every geometry the kernel decodes exactly the members of the
+    /// non-negative multi-member banks (and so no one-member bank), and
+    /// every Theorem 4.x circuit, built on Lemma 3.1 blocks, has some.
+    #[test]
+    fn every_sweep_geometry_decodes_its_non_negative_multi_member_banks() {
+        for row in sweep() {
+            assert_eq!(
+                row.decoded_gates, row.decodable_gates,
+                "{} ({})",
+                row.label, row.bound.geometry
+            );
+            if row.bound.theorem.starts_with("Theorem") {
+                assert!(row.decoded_gates > 0, "{}", row.label);
+            }
+        }
     }
 }
