@@ -48,28 +48,17 @@ pub fn kth_most_significant_bit(
     let step = 1i64 << (l - k);
     let count = 1u64 << k;
 
-    // First layer: y_i = [s >= i * 2^(l-k)].
-    let mut y = Vec::with_capacity(count as usize);
-    for i in 1..=count {
-        let threshold = (i as i64) * step;
-        let wire = builder.add_gate_merged(terms.iter().copied(), threshold)?;
-        y.push(wire);
-    }
+    // First layer: y_i = [s >= i * 2^(l-k)], one bank on the shared sum s.
+    let y = builder.add_bank(
+        terms.iter().copied(),
+        (1..=count).map(|i| (i as i64) * step),
+    )?;
 
     // Output: [ Σ_{i odd} (y_i - y_{i+1}) >= 1 ].  Odd i range over 1, 3, ..., 2^k - 1;
-    // y is 0-indexed so y_i = y[i-1].
-    let mut out_terms = Vec::with_capacity(count as usize);
-    let mut i = 1u64;
-    while i < count {
-        out_terms.push((y[(i - 1) as usize], 1i64));
-        out_terms.push((y[i as usize], -1i64));
-        i += 2;
-    }
-    if count == 1 {
-        // k = 0 is rejected above, so count >= 2 always; this branch is unreachable but
-        // kept for safety: with a single interval the bit equals y_1.
-        out_terms.push((y[0], 1));
-    }
+    // y is 0-indexed so y_i = y[i-1].  k >= 1, so count is even.
+    let out_terms = y
+        .chunks_exact(2)
+        .flat_map(|pair| [(pair[0], 1i64), (pair[1], -1i64)]);
     let out = builder.add_gate_merged(out_terms, 1)?;
     Ok(out)
 }

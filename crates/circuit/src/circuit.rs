@@ -16,6 +16,14 @@ use serde::{Deserialize, Serialize};
 ///   (the gate list is a topological order);
 /// * every designated output wire exists.
 ///
+/// Storage is row-shared: each weighted sum is one CSR *row* of `(Wire, i64)` edges,
+/// stored once, and each gate is a `(row, threshold)` pair. The `2^k` thresholds of a
+/// Lemma 3.1 block (see [`CircuitBuilder::add_bank`](crate::CircuitBuilder::add_bank))
+/// are one row and `2^k` pairs. Every measure reports the source form all the same:
+/// [`Circuit::num_edges`], [`Circuit::max_fan_in`] and [`ThresholdGate::fan_in`] count
+/// a shared row once per member gate, as if every gate owned its fan-in;
+/// [`Circuit::num_stored_edges`] counts the rows once.
+///
 /// The circuit also stores, for each gate, its *depth*: primary inputs and the
 /// constant-one wire have depth 0, and a gate's depth is one more than the maximum
 /// depth of its fan-in.  The circuit's depth is the maximum gate depth, which matches
@@ -23,28 +31,22 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Circuit {
     pub(crate) num_inputs: usize,
-    pub(crate) gates: Vec<ThresholdGate>,
+    /// Row fan-in offsets: the edges of row `r` are
+    /// `edges[row_offsets[r]..row_offsets[r + 1]]`.
+    pub(crate) row_offsets: Vec<usize>,
+    /// Every row's `(wire, weight)` edges, contiguous; sorted by wire and
+    /// duplicate-free inside each row.
+    pub(crate) edges: Vec<(Wire, i64)>,
+    /// `gate_rows[i]` is the row gate `i` sums.
+    pub(crate) gate_rows: Vec<u32>,
+    /// `thresholds[i]` is gate `i`'s threshold.
+    pub(crate) thresholds: Vec<i64>,
     pub(crate) outputs: Vec<Wire>,
     /// `depth[i]` is the depth of gate `i` (1-based from the inputs).
     pub(crate) depths: Vec<u32>,
 }
 
 impl Circuit {
-    pub(crate) fn from_parts(
-        num_inputs: usize,
-        gates: Vec<ThresholdGate>,
-        outputs: Vec<Wire>,
-        depths: Vec<u32>,
-    ) -> Self {
-        debug_assert_eq!(gates.len(), depths.len());
-        Circuit {
-            num_inputs,
-            gates,
-            outputs,
-            depths,
-        }
-    }
-
     /// Number of primary inputs.
     #[inline]
     pub fn num_inputs(&self) -> usize {
@@ -54,13 +56,34 @@ impl Circuit {
     /// Number of gates (the circuit's *size* in the paper's terminology).
     #[inline]
     pub fn num_gates(&self) -> usize {
-        self.gates.len()
+        self.thresholds.len()
+    }
+
+    /// Gate `i` (original id), as a view of its row and threshold.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.num_gates()`.
+    #[inline]
+    pub fn gate(&self, i: usize) -> ThresholdGate<'_> {
+        ThresholdGate::new(self.row(self.gate_rows[i]), self.thresholds[i])
     }
 
     /// The gates, in topological (creation) order.
+    pub fn gates(&self) -> impl ExactSizeIterator<Item = ThresholdGate<'_>> + '_ {
+        (0..self.num_gates()).map(|i| self.gate(i))
+    }
+
+    /// The edges of row `r`.
     #[inline]
-    pub fn gates(&self) -> &[ThresholdGate] {
-        &self.gates
+    pub(crate) fn row(&self, r: u32) -> &[(Wire, i64)] {
+        let r = r as usize;
+        &self.edges[self.row_offsets[r]..self.row_offsets[r + 1]]
+    }
+
+    /// Number of stored rows: each distinct weighted sum a bank shares once.
+    #[inline]
+    pub(crate) fn num_rows(&self) -> usize {
+        self.row_offsets.len() - 1
     }
 
     /// The designated output wires, in the order they were marked.
@@ -82,13 +105,22 @@ impl Circuit {
     }
 
     /// Total number of edges (sum of all gate fan-ins), a measure of wiring cost.
+    /// A row a bank shares counts once per member gate.
     pub fn num_edges(&self) -> usize {
-        self.gates.iter().map(|g| g.fan_in()).sum()
+        self.gates().map(|g| g.fan_in()).sum()
+    }
+
+    /// Number of `(wire, weight)` edges actually stored: each row once, however
+    /// many gates share it. At most [`Circuit::num_edges`], and equal to it when
+    /// no two gates share a row.
+    #[inline]
+    pub fn num_stored_edges(&self) -> usize {
+        self.edges.len()
     }
 
     /// The maximum fan-in over all gates.
     pub fn max_fan_in(&self) -> usize {
-        self.gates.iter().map(|g| g.fan_in()).max().unwrap_or(0)
+        self.gates().map(|g| g.fan_in()).max().unwrap_or(0)
     }
 
     /// Computes the full set of complexity statistics for this circuit.

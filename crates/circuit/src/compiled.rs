@@ -1,10 +1,11 @@
 //! The compiled execution engine: CSR-lowered circuits with one scalar
 //! oracle and one bit-sliced batch kernel.
 //!
-//! [`Circuit`] is builder-friendly: every gate owns a `Vec<(Wire, i64)>`, so
-//! evaluating it chases pointers and re-resolves wires through an enum on
-//! every edge. [`CompiledCircuit`] lowers that form once into flat
-//! compressed-sparse-row (CSR) arrays:
+//! [`Circuit`] is builder-friendly: each weighted sum is one row of
+//! `(Wire, i64)` edges, stored once however many gates of a bank share it,
+//! and each gate a `(row, threshold)` pair — but its wires are an enum
+//! resolved on every edge, in creation order. [`CompiledCircuit`] lowers
+//! that form once into flat compressed-sparse-row (CSR) arrays:
 //!
 //! * one contiguous *slot* space — slot `0` is the constant-one wire, slots
 //!   `1..=I` the primary inputs, slots `I+1..` the gates — so every evaluator
@@ -14,7 +15,9 @@
 //!   gates of one [`GateClass`] whose fan-in is the same `(slot, weight)`
 //!   multiset share a row: together they form a *bank*, many thresholds
 //!   `[S ≥ t_j]` on one sum `S` — the shape of the paper's Lemma 3.1/3.2
-//!   blocks. Rows hold `wires`/`weights`, the non-negative edge count, the
+//!   blocks. Each builder row is canonicalised and looked up once per
+//!   (layer, class), and builder rows that repeat one sum still share a
+//!   bank. Rows hold `wires`/`weights`, the non-negative edge count, the
 //!   narrow (i64-safe) flag, the bank's plane budget (the largest its
 //!   members need) and, for [`GateClass::Pow2`] and [`GateClass::General`]
 //!   rows only, the *bit-edges* (each weight decomposed into its set bits);
@@ -540,6 +543,26 @@ fn row_hash(row: &[(bool, u32, i64)]) -> u64 {
     h ^ (h >> 32)
 }
 
+/// What pass 1 of [`CompiledCircuit::new`] learns of one builder row at its
+/// first member: the row's depth plus one (`0` until read), its reach
+/// `Σ |w|` (saturating) and its class by weights alone.
+#[derive(Debug, Clone, Copy)]
+struct RowInfo {
+    depth: u32,
+    reach: u64,
+    class: GateClass,
+}
+
+impl Default for RowInfo {
+    fn default() -> Self {
+        RowInfo {
+            depth: 0,
+            reach: 0,
+            class: GateClass::Unit,
+        }
+    }
+}
+
 #[inline]
 fn slot_of(wire: Wire, num_inputs: usize, perm: &[u32]) -> usize {
     match wire {
@@ -585,36 +608,54 @@ impl CompiledCircuit {
 
         // ── Pass 1 (original order): validate fan-in wires, recompute
         // depths from the fan-ins (authoritative even for hand-assembled
-        // circuits), and classify every gate from its weights and reach.
+        // circuits), and classify every gate from its row's weights and its
+        // reach. A builder row is read at its first member, the lowest gate
+        // id that sums it: valid there, it is valid for every later member.
+        let mut row_info = vec![RowInfo::default(); circuit.num_rows()];
         let mut depths = vec![0u32; num_gates];
         let mut gate_planes = Vec::with_capacity(num_gates);
         let mut gate_class = Vec::with_capacity(num_gates);
-        for (idx, gate) in circuit.gates().iter().enumerate() {
-            let mut reach: i128 = 0;
-            let mut depth_in = 0u32;
-            for &(wire, weight) in gate.inputs() {
-                let valid = match wire {
-                    Wire::Input(i) => (i as usize) < num_inputs,
-                    Wire::Gate(g) => (g as usize) < idx,
-                    Wire::One => true,
-                };
-                if !valid {
-                    return Err(CircuitError::DanglingWire {
-                        wire,
-                        num_inputs,
-                        num_gates: idx,
-                    });
+        for (idx, (&r, &threshold)) in circuit
+            .gate_rows
+            .iter()
+            .zip(&circuit.thresholds)
+            .enumerate()
+        {
+            let info = &mut row_info[r as usize];
+            if info.depth == 0 {
+                let row = circuit.row(r);
+                let mut depth_in = 0u32;
+                for &(wire, weight) in row {
+                    let valid = match wire {
+                        Wire::Input(i) => (i as usize) < num_inputs,
+                        Wire::Gate(g) => (g as usize) < idx,
+                        Wire::One => true,
+                    };
+                    if !valid {
+                        return Err(CircuitError::DanglingWire {
+                            wire,
+                            num_inputs,
+                            num_gates: idx,
+                        });
+                    }
+                    if let Wire::Gate(g) = wire {
+                        depth_in = depth_in.max(depths[g as usize]);
+                    }
+                    // Saturating is exact here: any reach near u64::MAX is
+                    // far beyond the plane budget either way.
+                    info.reach = info.reach.saturating_add(weight.unsigned_abs());
                 }
-                if let Wire::Gate(g) = wire {
-                    depth_in = depth_in.max(depths[g as usize]);
-                }
-                reach += weight.unsigned_abs() as i128;
+                info.depth = depth_in + 1;
+                info.class = GateClass::classify(row.iter().map(|&(_, w)| w), 0);
             }
-            depths[idx] = depth_in + 1;
-            let planes = planes_for(reach + (gate.threshold().unsigned_abs() as i128));
+            depths[idx] = info.depth;
+            let planes = planes_for(i128::from(info.reach) + i128::from(threshold.unsigned_abs()));
             gate_planes.push(planes);
-            let weights = gate.inputs().iter().map(|&(_, w)| w);
-            gate_class.push(GateClass::classify(weights, planes));
+            gate_class.push(if planes == WIDE_GATE {
+                GateClass::General
+            } else {
+                info.class
+            });
         }
 
         // ── Layer schedule: ORIGINAL gate ids grouped by depth, ascending
@@ -642,13 +683,15 @@ impl CompiledCircuit {
         // ── Pass 2, one layer at a time: bank the gates and emit the rows.
         // Every fan-in sits in an earlier layer, whose slots are final by
         // then. A layer's gates are visited in (class, original id) order;
-        // each gate's fan-in is put in canonical order and looked up among
-        // the rows of its (layer, class) group — a match joins that row's
-        // bank, a miss appends a new row. Rows are numbered in visiting
-        // order, so sorting the layer by (row, original id) yields the
-        // (class, row, original id) internal order with every bank
-        // contiguous. Topological soundness holds because a fan-in gate
-        // always has strictly smaller depth.
+        // each builder row is put in canonical order and looked up among the
+        // rows of its (layer, class) group once — a match joins that row's
+        // bank, a miss appends a new row — and its later members in the
+        // group reuse the answer, so builder rows that repeat the same sum
+        // still share one bank. Rows are numbered in visiting order, so
+        // sorting the layer by (row, original id) yields the (class, row,
+        // original id) internal order with every bank contiguous.
+        // Topological soundness holds because a fan-in gate always has
+        // strictly smaller depth.
         let mut perm = vec![0u32; num_gates];
         let mut inv = Vec::with_capacity(num_gates);
         let mut gate_rows = Vec::with_capacity(num_gates);
@@ -662,6 +705,9 @@ impl CompiledCircuit {
         let mut canon: Vec<(bool, u32, i64)> = Vec::new();
         let mut visit: Vec<u32> = Vec::new();
         let mut banked: Vec<(u32, u32)> = Vec::new();
+        // Per builder row: (group stamp, compiled row) of its last lookup.
+        let mut looked_up = vec![(u32::MAX, 0u32); row_info.len()];
+        let mut stamp = 0u32;
         for &(lo, hi) in &layer_ranges {
             let layer = &schedule[lo as usize..hi as usize];
             visit.clear();
@@ -672,37 +718,33 @@ impl CompiledCircuit {
             for group in visit.chunk_by(|&a, &b| gate_class[a as usize] == gate_class[b as usize]) {
                 let class = gate_class[group[0] as usize];
                 table.reset(group.len());
-                let mut prev: Option<(&[(Wire, i64)], u32)> = None;
+                stamp += 1;
                 for &g in group {
-                    let inputs = circuit.gates()[g as usize].inputs();
-                    let row = match prev {
-                        // Bank members are usually emitted back to back with
-                        // the very same edge list: that is the previous
-                        // gate's row, with no sort or hash.
-                        Some((prev_inputs, row)) if prev_inputs == inputs => row,
-                        _ => {
-                            canon.clear();
-                            canon.extend(inputs.iter().map(|&(wire, w)| {
-                                // lint:allow(narrowing-cast): slots fit the u32 space checked at entry
-                                (w < 0, slot_of(wire, num_inputs, &perm) as u32, w)
-                            }));
-                            canon.sort_unstable();
-                            let hash = row_hash(&canon);
-                            table.find(&rows, hash, &canon).unwrap_or_else(|| {
-                                let r = rows.push(&canon, class);
-                                evaluated_plane_ops[class.index()] += rows.plane_ops(class, r);
-                                table.insert(hash, r);
-                                r
-                            })
-                        }
-                    };
+                    let source_row = circuit.gate_rows[g as usize];
+                    let seen = &mut looked_up[source_row as usize];
+                    if seen.0 != stamp {
+                        canon.clear();
+                        canon.extend(circuit.row(source_row).iter().map(|&(wire, w)| {
+                            // lint:allow(narrowing-cast): slots fit the u32 space checked at entry
+                            (w < 0, slot_of(wire, num_inputs, &perm) as u32, w)
+                        }));
+                        canon.sort_unstable();
+                        let hash = row_hash(&canon);
+                        let row = table.find(&rows, hash, &canon).unwrap_or_else(|| {
+                            let r = rows.push(&canon, class);
+                            evaluated_plane_ops[class.index()] += rows.plane_ops(class, r);
+                            table.insert(hash, r);
+                            r
+                        });
+                        *seen = (stamp, row);
+                    }
+                    let row = seen.1;
                     // A bank's plane budget is the largest any member needs.
                     let budget = &mut rows.batch_planes[row as usize];
                     *budget = (*budget).max(gate_planes[g as usize]);
                     class_counts[class.index()] += 1;
                     class_plane_ops[class.index()] += rows.plane_ops(class, row);
                     banked.push((row, g));
-                    prev = Some((inputs, row));
                 }
             }
             banked.sort_unstable();
@@ -711,7 +753,7 @@ impl CompiledCircuit {
                 perm[g as usize] = inv.len() as u32;
                 inv.push(g);
                 gate_rows.push(row);
-                thresholds.push(circuit.gates()[g as usize].threshold());
+                thresholds.push(circuit.thresholds[g as usize]);
                 classes.push(gate_class[g as usize]);
             }
         }
@@ -1325,19 +1367,13 @@ mod tests {
 
     #[test]
     fn dangling_wire_fails_compilation() {
-        // Assemble an invalid circuit directly through serde-style surgery:
-        // builder forbids this, so synthesise via Circuit::from_parts.
+        // The builder forbids this, so corrupt a built circuit in place:
+        // point the output at a gate that does not exist.
         let mut b = CircuitBuilder::new(1);
         let g = b.add_gate([(Wire::input(0), 1)], 1).unwrap();
         b.mark_output(g);
         let mut c = b.build();
-        // Point the output at a gate that does not exist.
-        c = Circuit::from_parts(
-            c.num_inputs(),
-            c.gates().to_vec(),
-            vec![Wire::gate(7)],
-            (0..c.num_gates()).map(|g| c.gate_depth(g)).collect(),
-        );
+        c.outputs = vec![Wire::gate(7)];
         assert!(matches!(
             c.compile(),
             Err(CircuitError::DanglingWire { .. })

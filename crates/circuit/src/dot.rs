@@ -18,15 +18,14 @@ impl Circuit {
             let _ = writeln!(out, "  x{i} [shape=box, label=\"x{i}\"];");
         }
         let uses_one = self
-            .gates
-            .iter()
+            .gates()
             .flat_map(|g| g.inputs())
             .any(|(w, _)| w.is_const())
             || self.outputs.iter().any(|w| w.is_const());
         if uses_one {
             let _ = writeln!(out, "  one [shape=box, label=\"1\"];");
         }
-        for (idx, gate) in self.gates.iter().enumerate() {
+        for (idx, gate) in self.gates().enumerate() {
             let _ = writeln!(
                 out,
                 "  g{idx} [label=\"g{idx}\\n>= {}\"];",

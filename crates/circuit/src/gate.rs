@@ -1,9 +1,8 @@
 //! The linear threshold gate.
 
 use crate::Wire;
-use serde::{Deserialize, Serialize};
 
-/// A linear threshold gate.
+/// A linear threshold gate, as a borrowed view into a [`Circuit`](crate::Circuit).
 ///
 /// The gate computes the Boolean function
 /// `fire(y) = [ Σ_i w_i · y_i ≥ t ]`
@@ -13,28 +12,33 @@ use serde::{Deserialize, Serialize};
 ///
 /// This is exactly the McCulloch–Pitts neuron model used by the paper; rational weights
 /// can always be scaled to integers, so integer weights lose no generality.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ThresholdGate {
+///
+/// A circuit stores each weighted sum once, as a shared row, and every gate as a row
+/// plus a threshold; a `ThresholdGate` pairs the two. Members of one bank (see
+/// [`CircuitBuilder::add_bank`](crate::CircuitBuilder::add_bank)) borrow the same
+/// fan-in slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ThresholdGate<'a> {
     /// Fan-in: `(wire, weight)` pairs.  Wires are unique within a gate.
-    pub(crate) inputs: Vec<(Wire, i64)>,
+    inputs: &'a [(Wire, i64)],
     /// The firing threshold `t`.
-    pub(crate) threshold: i64,
+    threshold: i64,
 }
 
-impl ThresholdGate {
-    /// Creates a gate from its fan-in list and threshold.
+impl<'a> ThresholdGate<'a> {
+    /// Creates a gate view over a fan-in list and a threshold.
     ///
     /// This does not check wire validity against a circuit; use
     /// [`CircuitBuilder::add_gate`](crate::CircuitBuilder::add_gate) for checked
     /// construction.
-    pub fn new(inputs: Vec<(Wire, i64)>, threshold: i64) -> Self {
+    pub fn new(inputs: &'a [(Wire, i64)], threshold: i64) -> Self {
         ThresholdGate { inputs, threshold }
     }
 
     /// The gate's fan-in list as `(wire, weight)` pairs.
     #[inline]
-    pub fn inputs(&self) -> &[(Wire, i64)] {
-        &self.inputs
+    pub fn inputs(&self) -> &'a [(Wire, i64)] {
+        self.inputs
     }
 
     /// The gate's threshold `t`.
@@ -71,7 +75,7 @@ impl ThresholdGate {
         F: FnMut(Wire) -> bool,
     {
         let mut sum: i128 = 0;
-        for &(wire, weight) in &self.inputs {
+        for &(wire, weight) in self.inputs {
             if value_of(wire) {
                 sum = sum.checked_add(weight as i128)?;
             }
@@ -106,8 +110,8 @@ impl ThresholdGate {
 mod tests {
     use super::*;
 
-    fn and2() -> ThresholdGate {
-        ThresholdGate::new(vec![(Wire::input(0), 1), (Wire::input(1), 1)], 2)
+    fn and2() -> ThresholdGate<'static> {
+        ThresholdGate::new(&[(Wire::Input(0), 1), (Wire::Input(1), 1)], 2)
     }
 
     #[test]
@@ -129,15 +133,15 @@ mod tests {
 
     #[test]
     fn or_and_majority_gates() {
-        let or = ThresholdGate::new(vec![(Wire::input(0), 1), (Wire::input(1), 1)], 1);
-        assert!(or.fire_with(|w| w == Wire::input(0)).unwrap());
+        let or = ThresholdGate::new(&[(Wire::Input(0), 1), (Wire::Input(1), 1)], 1);
+        assert!(or.fire_with(|w| w == Wire::Input(0)).unwrap());
         assert!(!or.fire_with(|_| false).unwrap());
 
         let maj3 = ThresholdGate::new(
-            vec![
-                (Wire::input(0), 1),
-                (Wire::input(1), 1),
-                (Wire::input(2), 1),
+            &[
+                (Wire::Input(0), 1),
+                (Wire::Input(1), 1),
+                (Wire::Input(2), 1),
             ],
             2,
         );
@@ -148,14 +152,14 @@ mod tests {
     #[test]
     fn negative_weights_model_not() {
         // NOT(x) = [ -x >= 0 ]
-        let not = ThresholdGate::new(vec![(Wire::input(0), -1)], 0);
+        let not = ThresholdGate::new(&[(Wire::Input(0), -1)], 0);
         assert!(not.fire_with(|_| false).unwrap());
         assert!(!not.fire_with(|_| true).unwrap());
     }
 
     #[test]
     fn accessors_and_bounds() {
-        let g = ThresholdGate::new(vec![(Wire::input(0), 3), (Wire::input(1), -5)], 2);
+        let g = ThresholdGate::new(&[(Wire::Input(0), 3), (Wire::Input(1), -5)], 2);
         assert_eq!(g.fan_in(), 2);
         assert_eq!(g.threshold(), 2);
         assert_eq!(g.max_abs_weight(), 5);
@@ -166,22 +170,22 @@ mod tests {
 
     #[test]
     fn max_abs_weight_reports_i64_min_exactly() {
-        let g = ThresholdGate::new(vec![(Wire::input(0), i64::MIN)], 0);
+        let g = ThresholdGate::new(&[(Wire::Input(0), i64::MIN)], 0);
         assert_eq!(g.max_abs_weight(), 1u64 << 63);
-        let g = ThresholdGate::new(vec![(Wire::input(0), i64::MIN), (Wire::input(1), 7)], 0);
+        let g = ThresholdGate::new(&[(Wire::Input(0), i64::MIN), (Wire::Input(1), 7)], 0);
         assert_eq!(g.max_abs_weight(), 1u64 << 63);
     }
 
     #[test]
     fn constant_gate_detection() {
         // Threshold lower than any achievable sum: always fires.
-        let g = ThresholdGate::new(vec![(Wire::input(0), 1)], -1);
+        let g = ThresholdGate::new(&[(Wire::Input(0), 1)], -1);
         assert!(g.is_constant());
         // Threshold above max sum: never fires.
-        let g = ThresholdGate::new(vec![(Wire::input(0), 1)], 2);
+        let g = ThresholdGate::new(&[(Wire::Input(0), 1)], 2);
         assert!(g.is_constant());
         // Reachable threshold: not constant.
-        let g = ThresholdGate::new(vec![(Wire::input(0), 1)], 1);
+        let g = ThresholdGate::new(&[(Wire::Input(0), 1)], 1);
         assert!(!g.is_constant());
     }
 }

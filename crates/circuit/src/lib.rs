@@ -15,13 +15,16 @@
 //!
 //! * A [`Wire`] is either one of the circuit's primary inputs, the output of a
 //!   previously-created gate, or the constant-one wire.
-//! * A [`ThresholdGate`] owns its fan-in list of `(Wire, weight)` pairs and its
-//!   threshold.
+//! * A [`ThresholdGate`] is a borrowed view of one gate: its fan-in list of
+//!   `(Wire, weight)` pairs and its threshold.
 //! * A [`Circuit`] is a topologically-ordered list of gates over a fixed number of
-//!   primary inputs, plus a list of designated output wires.
+//!   primary inputs, plus a list of designated output wires. It stores each
+//!   weighted sum once, as a shared row, and each gate as a row plus a threshold.
 //! * The [`CircuitBuilder`] is the only way to construct circuits; it enforces
 //!   topological order (gates may only reference already-existing wires) and can
 //!   optionally deduplicate structurally identical gates.
+//!   [`CircuitBuilder::add_bank`] adds many thresholds on one sum — the paper's
+//!   Lemma 3.1 blocks — storing the sum once.
 //!
 //! ## Complexity measures
 //!

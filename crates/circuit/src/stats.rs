@@ -113,7 +113,7 @@ impl CircuitStats {
             .collect();
         let mut max_abs_weight = 0u64;
         let mut class_counts = [0usize; 3];
-        for (idx, gate) in circuit.gates().iter().enumerate() {
+        for (idx, gate) in circuit.gates().enumerate() {
             let d = circuit.gate_depth(idx) as usize - 1;
             let layer = &mut layers[d];
             layer.gates += 1;

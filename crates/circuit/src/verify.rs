@@ -29,7 +29,10 @@
 //!    each row's bit-edge run must be the binary digits of its weights.
 //!    The compiled gate then computes the source gate's sum against the
 //!    source threshold, so it fires on exactly the same inputs — proved per
-//!    gate rather than on sampled inputs only.
+//!    gate rather than on sampled inputs only. Members of one source bank
+//!    share their source row, so each source row's multiset is proven once
+//!    against the compiled row its members read; every gate's threshold
+//!    and depth are still compared.
 //! 3. **Paper-bound certification** ([`PaperBound`]) — constructors attach
 //!    closed-form depth/size bounds from the source paper's theorems, and
 //!    [`PaperBound::certify`] asserts them against the measured artifact.
@@ -1013,18 +1016,25 @@ pub fn verify_against(circuit: &Circuit, c: &CompiledCircuit) -> VerifyReport {
         return r;
     }
 
-    // Recompute depths from the raw fan-ins, independently of `compiled.rs`.
+    // Recompute depths from the raw rows, independently of `compiled.rs`:
+    // a row's depth is read at its first member, the lowest gate id that
+    // sums it, and holds for every member.
+    let mut row_depth = vec![0u32; circuit.num_rows()];
     let mut depths = vec![0u32; g_count];
-    for (idx, gate) in circuit.gates().iter().enumerate() {
-        let mut d = 0u32;
-        for &(wire, _) in gate.inputs() {
-            if let Wire::Gate(p) = wire {
-                if (p as usize) < idx {
-                    d = d.max(depths[p as usize]);
+    for idx in 0..g_count {
+        let source_row = circuit.gate_rows[idx];
+        let d = &mut row_depth[source_row as usize];
+        if *d == 0 {
+            for &(wire, _) in circuit.row(source_row) {
+                if let Wire::Gate(p) = wire {
+                    if (p as usize) < idx {
+                        *d = (*d).max(depths[p as usize]);
+                    }
                 }
             }
+            *d += 1;
         }
-        depths[idx] = d + 1;
+        depths[idx] = *d;
         if c.depths[idx] != depths[idx] {
             r.error(
                 FindingKind::SourceMismatch,
@@ -1036,22 +1046,23 @@ pub fn verify_against(circuit: &Circuit, c: &CompiledCircuit) -> VerifyReport {
             );
         }
     }
-    // ── Per-gate translation check: the compiled gate reads a row holding
-    // exactly the source gate's (slot, weight) multiset — the weighted sum
-    // is order-invariant — and keeps the source threshold, so it fires on
-    // the same inputs. Once a row is proven against one source gate, a
-    // member whose source edge list is identical to that gate's is proven
-    // by comparing the two lists.
-    let mut proven_by = vec![NONE; c.pos_counts.len()];
+    // ── Translation check: every gate reads a compiled row holding exactly
+    // its source row's (slot, weight) multiset — the weighted sum is
+    // order-invariant — and keeps the source threshold, so it fires on the
+    // same inputs. A source row is proven once against the compiled row its
+    // members read; every gate's threshold is still compared.
+    let mut proven = vec![u32::MAX; circuit.num_rows()];
     let mut want: Vec<(Option<usize>, i64)> = Vec::new();
     let mut got: Vec<(Option<usize>, i64)> = Vec::new();
-    for (idx, gate) in circuit.gates().iter().enumerate() {
+    for (idx, gate) in circuit.gates().enumerate() {
         let g = c.perm[idx] as usize;
-        let row = c.gate_rows[g] as usize;
-        let (lo, hi) = (c.offsets[row] as usize, c.offsets[row + 1] as usize);
-        let proven =
-            proven_by[row] != NONE && circuit.gates()[proven_by[row]].inputs() == gate.inputs();
-        if !proven {
+        let row = c.gate_rows[g];
+        let source_row = circuit.gate_rows[idx] as usize;
+        if proven[source_row] != row {
+            let (lo, hi) = (
+                c.offsets[row as usize] as usize,
+                c.offsets[row as usize + 1] as usize,
+            );
             want.clear();
             want.extend(
                 gate.inputs()
@@ -1063,7 +1074,7 @@ pub fn verify_against(circuit: &Circuit, c: &CompiledCircuit) -> VerifyReport {
             want.sort_unstable();
             got.sort_unstable();
             if want == got {
-                proven_by[row] = idx;
+                proven[source_row] = row;
             } else {
                 r.error(
                     FindingKind::SourceMismatch,
@@ -1123,7 +1134,7 @@ pub(crate) fn validate_circuit(circuit: &Circuit) -> VerifyReport {
     let num_inputs = circuit.num_inputs();
     let num_gates = circuit.num_gates();
 
-    for (idx, gate) in circuit.gates().iter().enumerate() {
+    for (idx, gate) in circuit.gates().enumerate() {
         if gate.fan_in() == 0 {
             r.error(
                 FindingKind::EmptyFanIn,
@@ -1182,7 +1193,7 @@ pub(crate) fn validate_circuit(circuit: &Circuit) -> VerifyReport {
         Err(_) => {
             // Invalid circuits keep the (slower) gate-list analyses so the
             // report stays complete.
-            for (idx, gate) in circuit.gates().iter().enumerate() {
+            for (idx, gate) in circuit.gates().enumerate() {
                 if gate.is_constant() {
                     r.advice(
                         FindingKind::ConstantGate,
@@ -1261,7 +1272,7 @@ fn dead_gates_list(circuit: &Circuit) -> Vec<usize> {
             continue;
         }
         live[g] = true;
-        for &(wire, _) in circuit.gates()[g].inputs() {
+        for &(wire, _) in circuit.gate(g).inputs() {
             if let Some(p) = wire.as_gate() {
                 if p < n && !live[p] {
                     stack.push(p);
@@ -1612,6 +1623,35 @@ mod tests {
         assert!(r.has(FindingKind::SourceMismatch), "{r}");
     }
 
+    /// `banked`, with each sum's two members added as one source bank, so
+    /// they share one source row.
+    fn source_banked() -> (Circuit, CompiledCircuit) {
+        let mut b = CircuitBuilder::new(3);
+        let (x, y, z) = (Wire::input(0), Wire::input(1), Wire::input(2));
+        let mut sums = b.add_bank([(x, 1), (y, 1)], [1, 2]).unwrap();
+        sums.extend(b.add_bank([(x, 1), (z, 1)], [1, 2]).unwrap());
+        let top = b.add_gate(sums.iter().map(|&w| (w, 1)), 2).unwrap();
+        b.mark_output(top);
+        let c = b.build();
+        let compiled = c.compile().unwrap();
+        (c, compiled)
+    }
+
+    #[test]
+    fn mutation_source_bank_member_pointed_at_a_sibling_row_is_caught() {
+        let (c, mut m) = source_banked();
+        assert!(verify_against(&c, &m).is_valid());
+        // Gates 0 and 1 share a source row, proven against gate 0's compiled
+        // row; gate 1 now reads the sibling row x + z, which the check must
+        // still see. As above, only the source check can.
+        let g = m.perm[1] as usize;
+        m.gate_rows[g] = m.gate_rows[m.perm[2] as usize];
+        m.thermo.row_plans.fill(NO_PLAN);
+        assert!(verify_compiled(&m).is_valid(), "{}", verify_compiled(&m));
+        let r = verify_against(&c, &m);
+        assert_eq!(r.gates_of(FindingKind::SourceMismatch), vec![1], "{r}");
+    }
+
     #[test]
     fn mutation_forged_bank_shape_is_caught() {
         // A bank split in two: row 0, row 1, row 0, row 1.
@@ -1895,6 +1935,24 @@ mod tests {
         assert!(report.is_valid());
         assert!(report.dead_gates().is_empty());
         assert!(report.constant_gates().is_empty());
+    }
+
+    #[test]
+    fn dangling_source_row_is_reported_for_every_member_it_dangles_for() {
+        let mut b = CircuitBuilder::new(1);
+        let x = Wire::input(0);
+        let bank = b.add_bank([(x, 1)], [0, 1]).unwrap();
+        let g = b.add_gate([(bank[0], 1), (bank[1], 1)], 1).unwrap();
+        b.add_gate([(x, 1)], 1).unwrap();
+        b.mark_output(g);
+        let mut c = b.build();
+        // The bank's shared row now reads gate 1, its own second member:
+        // gate 0 and gate 1 cannot read it, and validation says so per gate.
+        assert_eq!(c.edges[0], (x, 1));
+        c.edges[0] = (Wire::gate(1), 1);
+        let r = c.validate();
+        assert_eq!(r.gates_of(FindingKind::DanglingWire), vec![0, 1], "{r}");
+        assert!(c.compile().is_err());
     }
 
     #[test]

@@ -16,13 +16,19 @@
 //! the kernel decodes as thermometer codes: thresholds are unions of runs
 //! `{i·2^s : i = a..=b}`, with duplicates across runs, `a ≤ 0`, `b·2^s`
 //! beyond the sum's reach, and one-member banks.
+//!
+//! A third generator checks the builder's bank primitive: the same random
+//! circuit built once through `CircuitBuilder::add_bank` and once with one
+//! `add_gate_merged` per member must compile to the same artifact.
 
 mod common;
 
-use common::{assert_arena_matches_scalar, random_rows};
+use common::{arena_lanes, assert_arena_matches_scalar, random_rows};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
-use tc_circuit::{verify_against, Circuit, CircuitBuilder, CompiledCircuit, GateClass, Wire};
+use tc_circuit::{
+    verify_against, Circuit, CircuitBuilder, CompiledCircuit, DedupPolicy, GateClass, Wire,
+};
 
 /// One sum: its edges as (wire ordinal, weight selector), and its members
 /// as (threshold, variant).
@@ -209,6 +215,149 @@ fn check_banked(circuit: &Circuit, rows: &[Vec<bool>]) -> Result<(), String> {
     assert_arena_matches_scalar(&compiled, rows)
 }
 
+/// One bank for the differential: its terms as (wire ordinal, weight
+/// selector), duplicate wires kept; a selector that, when divisible by 4,
+/// appends every term negated so the terms merge to nothing; and its
+/// thresholds as (value, selector), where a selector divisible by 16 swaps
+/// in a threshold near `i64::MAX`, beyond the plane budget. Zero or one
+/// threshold makes an empty or one-member bank.
+type BankSpec = (Vec<(usize, i64)>, u64, Vec<(i64, u64)>);
+
+fn bank_spec() -> impl Strategy<Value = (usize, bool, Vec<BankSpec>)> {
+    (
+        1usize..7,
+        any::<bool>(),
+        prop::collection::vec(
+            (
+                prop::collection::vec((0usize..24, -40i64..41), 1..9),
+                any::<u64>(),
+                prop::collection::vec((-30i64..31, any::<u64>()), 0..6),
+            ),
+            1..13,
+        ),
+    )
+}
+
+/// Builds the circuit of `spec` twice, under the same dedup policy: once
+/// with one `add_bank` per bank, once with one `add_gate_merged` per member.
+/// Banks are grouped `SUMS_PER_LAYER` at a time and resolve their wires
+/// against the gates built before their group; every gate is an output.
+fn build_two_ways(
+    num_inputs: usize,
+    merge: bool,
+    spec: &[BankSpec],
+    weight_of: impl Fn(i64) -> i64,
+) -> (Circuit, Circuit) {
+    let policy = if merge {
+        DedupPolicy::MergeStructural
+    } else {
+        DedupPolicy::KeepDuplicates
+    };
+    let mut banked = CircuitBuilder::with_dedup(num_inputs, policy);
+    let mut single = CircuitBuilder::with_dedup(num_inputs, policy);
+    for group in spec.chunks(SUMS_PER_LAYER) {
+        let pool = 1 + num_inputs + banked.num_gates();
+        for (edges, cancel, thresholds) in group {
+            let mut terms: Vec<(Wire, i64)> = edges
+                .iter()
+                .map(|&(ordinal, selector)| {
+                    let o = ordinal % pool;
+                    let wire = if o == 0 {
+                        Wire::One
+                    } else if o <= num_inputs {
+                        Wire::input(o - 1)
+                    } else {
+                        Wire::gate(o - 1 - num_inputs)
+                    };
+                    (wire, weight_of(selector))
+                })
+                .collect();
+            if cancel % 4 == 0 {
+                let negated: Vec<(Wire, i64)> = terms.iter().map(|&(w, c)| (w, -c)).collect();
+                terms.extend(negated);
+            }
+            let thresholds: Vec<i64> = thresholds
+                .iter()
+                .map(|&(t, selector)| match selector % 16 {
+                    0 => i64::MAX - (selector >> 4) as i64 % 4,
+                    _ => t,
+                })
+                .collect();
+            let bank = banked
+                .add_bank(terms.iter().copied(), thresholds.iter().copied())
+                .unwrap();
+            let members: Vec<Wire> = thresholds
+                .iter()
+                .map(|&t| single.add_gate_merged(terms.iter().copied(), t).unwrap())
+                .collect();
+            assert_eq!(bank, members);
+            banked.mark_outputs(bank);
+            single.mark_outputs(members);
+        }
+    }
+    (banked.build(), single.build())
+}
+
+/// The two builds are the same source circuit and compile to the same
+/// artifact, read through every public accessor, and evaluate to the same
+/// outputs and firing counts in 512-lane passes.
+fn check_same_artifact(
+    banked: &Circuit,
+    single: &Circuit,
+    merge: bool,
+    rows: &[Vec<bool>],
+) -> Result<(), String> {
+    prop_assert_eq!(banked.num_gates(), single.num_gates());
+    prop_assert_eq!(banked.num_edges(), single.num_edges());
+    prop_assert_eq!(banked.max_fan_in(), single.max_fan_in());
+    prop_assert_eq!(banked.outputs(), single.outputs());
+    prop_assert!(banked.num_stored_edges() <= single.num_stored_edges());
+    if !merge {
+        // One row per gate: nothing shared.
+        prop_assert_eq!(single.num_stored_edges(), single.num_edges());
+    }
+    for (g, (x, y)) in banked.gates().zip(single.gates()).enumerate() {
+        prop_assert_eq!(x, y, "gate {}", g);
+        prop_assert_eq!(banked.gate_depth(g), single.gate_depth(g));
+    }
+
+    let (a, b) = (banked.compile().unwrap(), single.compile().unwrap());
+    for (circuit, compiled) in [(banked, &a), (single, &b)] {
+        let report = verify_against(circuit, compiled);
+        prop_assert!(report.is_valid(), "{}", report);
+    }
+    prop_assert_eq!(a.num_gates(), b.num_gates());
+    prop_assert_eq!(a.depth(), b.depth());
+    prop_assert_eq!(a.num_edges(), b.num_edges());
+    prop_assert_eq!(a.max_fan_in(), b.max_fan_in());
+    prop_assert_eq!(a.max_abs_weight(), b.max_abs_weight());
+    prop_assert_eq!(a.num_banks(), b.num_banks());
+    prop_assert_eq!(a.num_evaluated_edges(), b.num_evaluated_edges());
+    prop_assert_eq!(a.num_bit_edges(), b.num_bit_edges());
+    prop_assert_eq!(a.num_decoded_gates(), b.num_decoded_gates());
+    prop_assert_eq!(a.class_counts(), b.class_counts());
+    prop_assert_eq!(a.class_plane_ops(), b.class_plane_ops());
+    prop_assert_eq!(a.evaluated_plane_ops(), b.evaluated_plane_ops());
+    for g in 0..a.num_gates() {
+        prop_assert_eq!(a.fan_in(g), b.fan_in(g), "gate {}", g);
+        prop_assert_eq!(a.threshold(g), b.threshold(g));
+        prop_assert_eq!(a.gate_class(g), b.gate_class(g));
+        prop_assert_eq!(a.gate_depth(g), b.gate_depth(g));
+    }
+    for slot in 0..1 + a.num_inputs() + a.num_gates() {
+        prop_assert_eq!(a.gate_of_slot(slot), b.gate_of_slot(slot));
+    }
+    for d in 0..a.depth() as usize {
+        prop_assert_eq!(a.layer(d), b.layer(d));
+    }
+    prop_assert_eq!(a.num_outputs(), b.num_outputs());
+    for i in 0..a.num_outputs() {
+        prop_assert_eq!(a.output_slot(i), b.output_slot(i));
+    }
+    prop_assert_eq!(arena_lanes::<8>(&a, rows)?, arena_lanes::<8>(&b, rows)?);
+    assert_arena_matches_scalar(&a, rows)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -263,6 +412,35 @@ proptest! {
                                               width in 1usize..129) {
         let circuit = build_banked(num_inputs, &spec, |s| 1 + s % 13);
         check_banked(&circuit, &random_rows(num_inputs, width, seed))?;
+    }
+
+    /// `add_bank` and one `add_gate_merged` per member give the same
+    /// artifact: ±1, ±2^k and multi-bit weights, negative ones included.
+    #[test]
+    fn banks_built_directly_compile_like_their_members((num_inputs, merge, spec) in bank_spec(),
+                                                       seed in any::<u64>(),
+                                                       width in 1usize..600) {
+        let (banked, single) = build_two_ways(num_inputs, merge, &spec, |s| {
+            let sign = if s < 0 { -1 } else { 1 };
+            match s.unsigned_abs() % 3 {
+                0 => sign,
+                1 => sign * (1 << (s.unsigned_abs() % 16)),
+                _ => sign * (3 + (s.unsigned_abs() as i64 % 37) * 2),
+            }
+        });
+        check_same_artifact(&banked, &single, merge, &random_rows(num_inputs, width, seed))?;
+    }
+
+    /// The same over non-negative weights, whose banks the kernel decodes
+    /// as thermometer codes.
+    #[test]
+    fn non_negative_banks_built_directly_compile_like_their_members(
+        (num_inputs, merge, spec) in bank_spec(),
+        seed in any::<u64>(),
+        width in 1usize..600,
+    ) {
+        let (banked, single) = build_two_ways(num_inputs, merge, &spec, |s| 1 + s.unsigned_abs() as i64 % 5);
+        check_same_artifact(&banked, &single, merge, &random_rows(num_inputs, width, seed))?;
     }
 }
 

@@ -111,7 +111,7 @@ proptest! {
     #[test]
     fn depths_are_monotone_along_edges((num_inputs, spec) in random_circuit_spec()) {
         let circuit = build(num_inputs, &spec, DedupPolicy::KeepDuplicates);
-        for (idx, gate) in circuit.gates().iter().enumerate() {
+        for (idx, gate) in circuit.gates().enumerate() {
             for (wire, _) in gate.inputs() {
                 if let Some(parent) = wire.as_gate() {
                     prop_assert!(circuit.gate_depth(parent) < circuit.gate_depth(idx));

@@ -76,7 +76,7 @@ proptest! {
         prop_assert_eq!(compiled.class_counts(), [0, 0, compiled.num_gates()]);
         for g in 0..compiled.num_gates() {
             // Expected class from the raw builder weights.
-            let raw = circuit.gates()[g].inputs().iter().map(|&(_, w)| w);
+            let raw = circuit.gate(g).inputs().iter().map(|&(_, w)| w);
             let expected = if raw.clone().all(|w| w.unsigned_abs() == 1) {
                 GateClass::Unit
             } else if raw.clone().all(|w| w != 0 && w.unsigned_abs().is_power_of_two()) {
@@ -112,8 +112,8 @@ proptest! {
         // as weight multisets).
         for g in 0..compiled.num_gates() {
             let mut want: Vec<i64> =
-                circuit.gates()[g].inputs().iter().map(|&(_, w)| w).collect();
-            let want_t = circuit.gates()[g].threshold();
+                circuit.gate(g).inputs().iter().map(|&(_, w)| w).collect();
+            let want_t = circuit.gate(g).threshold();
             prop_assert_eq!(compiled.threshold(g), want_t, "gate {} threshold", g);
             prop_assert_eq!(compiled.gate_depth(g), circuit.gate_depth(g));
             let (_, weights) = compiled.fan_in(g);

@@ -45,7 +45,7 @@ pub fn map_circuit(circuit: &Circuit, device: &DeviceSpec) -> MappingReport {
     let mut fan_in_violations = 0usize;
     let mut inter = 0usize;
     let mut intra = 0usize;
-    for (idx, gate) in circuit.gates().iter().enumerate() {
+    for (idx, gate) in circuit.gates().enumerate() {
         if let Some(limit) = device.max_fan_in {
             if gate.fan_in() > limit {
                 fan_in_violations += 1;

@@ -11,8 +11,10 @@
 //! 2. certifies the constructor's closed-form paper bound
 //!    ([`tc_circuit::PaperBound::certify`]) against the compiled artifact.
 //!
-//! The table also reports the gates the kernel decodes from thermometer
-//! plans ([`CompiledCircuit::num_decoded_gates`]).
+//! The table also reports the edges the builder form stores
+//! ([`Circuit::num_stored_edges`]: each bank's shared row once) and the
+//! gates the kernel decodes from thermometer plans
+//! ([`CompiledCircuit::num_decoded_gates`]).
 //!
 //! The per-constructor bound table goes to stdout (and, with
 //! `--output <path>`, to a file the CI job archives); any error-severity
@@ -44,6 +46,8 @@ struct Row {
     depth: u32,
     gates: usize,
     edges: usize,
+    /// Edges the builder form stores: each bank's shared row once.
+    stored_edges: usize,
     /// Edges the kernel sums per pass: each bank's row once.
     evaluated_edges: usize,
     /// Gates the kernel decodes from a thermometer plan.
@@ -99,6 +103,7 @@ fn check(circuit: &Circuit, compiled: &CompiledCircuit, bound: PaperBound) -> Ro
         depth: compiled.depth(),
         gates: compiled.num_gates(),
         edges: compiled.num_edges(),
+        stored_edges: circuit.num_stored_edges(),
         evaluated_edges: compiled.num_evaluated_edges(),
         decoded_gates: compiled.num_decoded_gates(),
         decodable_gates: decodable_gates(compiled),
@@ -246,17 +251,18 @@ fn build_rows() -> Result<Vec<Row>, String> {
 }
 
 /// Renders the bound table: measured values side by side with the
-/// closed-form bounds they must satisfy, plus the edges the kernel actually
-/// sums once gates sharing a fan-in row are banked and the gates it decodes
-/// from thermometer plans.
+/// closed-form bounds they must satisfy, plus the edges the builder form
+/// stores, the edges the kernel actually sums once gates sharing a fan-in
+/// row are banked, and the gates it decodes from thermometer plans.
 fn render_table(rows: &[Row]) -> String {
-    let mut cells: Vec<[String; 9]> = vec![[
+    let mut cells: Vec<[String; 10]> = vec![[
         "constructor".into(),
         "theorem".into(),
         "geometry".into(),
         "depth".into(),
         "gates".into(),
         "edges".into(),
+        "stored edges".into(),
         "evaluated edges".into(),
         "decoded gates".into(),
         "status".into(),
@@ -273,12 +279,13 @@ fn render_table(rows: &[Row]) -> String {
             format!("{} ({})", row.depth, row.bound.depth),
             format!("{} ({})", row.gates, row.bound.gates),
             edges,
+            row.stored_edges.to_string(),
             row.evaluated_edges.to_string(),
             row.decoded_gates.to_string(),
             row.status(),
         ]);
     }
-    let mut widths = [0usize; 9];
+    let mut widths = [0usize; 10];
     for row in &cells {
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.chars().count());
@@ -374,6 +381,7 @@ mod tests {
         }
         let table = render_table(rows);
         assert!(table.contains("constructor"));
+        assert!(table.contains("stored edges"));
         assert!(table.contains("evaluated edges"));
         assert!(table.contains("decoded gates"));
         assert!(table.lines().count() == rows.len() + 1);
@@ -392,6 +400,18 @@ mod tests {
             );
             if row.bound.theorem.starts_with("Theorem") {
                 assert!(row.decoded_gates > 0, "{}", row.label);
+            }
+        }
+    }
+
+    /// The builder form stores at most the source edges, and every
+    /// Theorem 4.x circuit, whose Lemma 3.1 blocks are banks, stores fewer.
+    #[test]
+    fn every_sweep_geometry_stores_its_bank_rows_once() {
+        for row in sweep() {
+            assert!(row.stored_edges <= row.edges, "{}", row.label);
+            if row.bound.theorem.starts_with("Theorem") {
+                assert!(row.stored_edges < row.edges, "{}", row.label);
             }
         }
     }
