@@ -5,11 +5,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fast_matmul::{
-    random_matrix,
-    recursive::{multiply_recursive, multiply_recursive_parallel},
-    BilinearAlgorithm,
-};
+use fast_matmul::{random_matrix, recursive::multiply_recursive, BilinearAlgorithm};
 
 /// Naive cubic product.
 fn bench_naive(c: &mut Criterion) {
@@ -39,10 +35,6 @@ fn bench_recursive(c: &mut Criterion) {
                 },
             );
         }
-        group.bench_with_input(BenchmarkId::new("strassen_parallel", n), &n, |bench, _| {
-            let alg = BilinearAlgorithm::strassen();
-            bench.iter(|| multiply_recursive_parallel(&alg, &a, &b, 16, 2).unwrap());
-        });
     }
     // Laderman works on powers of 3.
     let n = 81usize;

@@ -32,13 +32,6 @@ fn bench_triangle_counting(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("node_iterator", n), &n, |bench, _| {
             bench.iter(|| triangles::count_node_iterator(&g));
         });
-        group.bench_with_input(
-            BenchmarkId::new("node_iterator_parallel", n),
-            &n,
-            |bench, _| {
-                bench.iter(|| triangles::count_node_iterator_parallel(&g));
-            },
-        );
         group.bench_with_input(BenchmarkId::new("via_trace", n), &n, |bench, _| {
             bench.iter(|| triangles::count_via_trace(&g));
         });

@@ -6,11 +6,11 @@
 //! * `lane_width/*` — the fixed 64-lane path versus the 128/256/512-lane
 //!   wide kernels at batch sizes 256 and 1024 (single worker, isolating the
 //!   kernels);
-//! * `scheduler/*` — a 2048-request batch through the auto-tuned runtime
-//!   with 1 worker versus all cores;
+//! * `scheduler/*` — a 2048-request batch through the runtime (pinned to
+//!   `wide256`) with 1 worker versus all cores;
 //! * `runtime_report` — times every backend directly, prints the measured
 //!   wide-vs-sliced64 speedup on a 256-request batch (the acceptance
-//!   criterion: the auto-tuned wide backend must beat the fixed 64-lane
+//!   criterion: the rule-picked wide backend must beat the fixed 64-lane
 //!   path on ≥256-request batches), compares a 1M-request stream through
 //!   an incremental `StreamSession` (flat memory, pooled responses)
 //!   against the materialising `serve_stream` wrapper — requests/sec and
@@ -441,29 +441,46 @@ fn runtime_report(_c: &mut Criterion) {
         }
     }
 
-    // The auto-tuned choice for a 256-request batch, and its measured margin
-    // over the fixed 64-lane path. Every standard backend is in the table
-    // at batch 256, so the tuned one always is.
-    let auto = Runtime::new();
-    let tuned = auto.backend_for(compiled, 256).unwrap();
-    let lookup = |name: &str| {
+    // The default runtime's rule-picked backend for a 256-request batch, and
+    // its measured margin over the fixed 64-lane path. Every standard
+    // backend is in the table at batch 256, so the picked one always is.
+    let rule = Runtime::new();
+    let lookup = |name: &str, batch: usize| {
         report
             .measured
             .iter()
-            .find(|(b, n, _)| b == name && *n == 256)
+            .find(|(b, n, _)| b == name && *n == batch)
             .map(|(_, _, g)| *g)
-            .expect("every standard backend is measured at batch 256")
     };
-    let tuned_geps = lookup(tuned);
-    let sliced_geps = lookup("sliced64");
+    let tuned = rule.backend_for(compiled, 256).unwrap();
+    let tuned_geps = lookup(tuned, 256).expect("every standard backend is measured at batch 256");
+    let sliced_geps = lookup("sliced64", 256).expect("sliced64 is measured at batch 256");
     let speedup = tuned_geps / sliced_geps;
     println!(
         "\nruntime_report: trace circuit with {gates} gates\n\
-         auto-tuned backend for a 256-request batch: {tuned}\n\
-         tuned     : {tuned_geps:>14.0} gate-evals/sec\n\
+         rule-picked backend for a 256-request batch: {tuned}\n\
+         rule pick : {tuned_geps:>14.0} gate-evals/sec\n\
          sliced64  : {sliced_geps:>14.0} gate-evals/sec\n\
-         speedup   : {speedup:.2}x (acceptance: wide > 1.0x on >=256-request batches)\n"
+         speedup   : {speedup:.2}x (acceptance: wide > 1.0x on >=256-request batches)"
     );
+    // The rule against the best fixed backend at each measured batch size.
+    for batch in [256usize, 1024] {
+        let pick = rule.backend_for(compiled, batch).unwrap();
+        let (best, best_geps) = report
+            .measured
+            .iter()
+            .filter(|(_, n, _)| *n == batch)
+            .max_by(|a, b| a.2.total_cmp(&b.2))
+            .map(|(b, _, g)| (b.as_str(), *g))
+            .expect("every batch size has measured backends");
+        let pick_geps = lookup(pick, batch).unwrap_or(f64::NAN);
+        println!(
+            "batch {batch:>4}: rule pick {pick} {pick_geps:.0} gate-evals/sec, \
+             best fixed {best} {best_geps:.0} ({:.2}x)",
+            pick_geps / best_geps
+        );
+    }
+    println!();
 
     // The single-tenant throughput gate: the committed BENCH_runtime.json
     // still holds the previous (FIFO-era) session requests/sec; the DRR

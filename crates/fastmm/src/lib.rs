@@ -19,7 +19,7 @@
 //! * [`BilinearAlgorithm`] — Strassen's `⟨2,2,2;7⟩` recipe, the Strassen–Winograd
 //!   variant, the naive recipe for any `T`, arbitrary tensor (Kronecker) powers, and a
 //!   brute-force verifier that checks a recipe against the matrix-multiplication tensor;
-//! * [`recursive`] — sequential and rayon-parallel recursive fast multiplication;
+//! * [`recursive`] — recursive fast multiplication, plain and operation-counting;
 //! * [`sparsity`] — the paper's Definition 2.1 quantities (`s_A`, `s_B`, `s_C`) and the
 //!   derived constants `α`, `β`, `γ`, `c` that control the circuit constructions;
 //! * [`opcount`] — operation-count models (the `T(N) = 7·T(N/2) + 18·(N/2)²` recurrence

@@ -1,7 +1,6 @@
 //! Dense row-major integer matrices with exact arithmetic.
 
 use crate::{MatmulError, Result};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -184,42 +183,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// The naive product with the outer loop parallelised by rayon.  Produces exactly
-    /// the same result as [`Matrix::multiply_naive`].
-    pub fn multiply_naive_parallel(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(MatmulError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (other.rows, other.cols),
-                op: "multiply",
-            });
-        }
-        let cols = other.cols;
-        let inner = self.cols;
-        let rows_data: std::result::Result<Vec<Vec<i64>>, MatmulError> = (0..self.rows)
-            .into_par_iter()
-            .map(|i| {
-                let mut row = Vec::with_capacity(cols);
-                for j in 0..cols {
-                    let mut acc: i128 = 0;
-                    for k in 0..inner {
-                        acc += self.get(i, k) as i128 * other.get(k, j) as i128;
-                    }
-                    row.push(
-                        i64::try_from(acc).map_err(|_| MatmulError::Overflow { op: "multiply" })?,
-                    );
-                }
-                Ok(row)
-            })
-            .collect();
-        let data = rows_data?.into_iter().flatten().collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols,
-            data,
-        })
-    }
-
     /// The trace (sum of diagonal entries) accumulated in `i128`.
     pub fn trace(&self) -> i128 {
         (0..self.rows.min(self.cols))
@@ -382,16 +345,6 @@ mod tests {
         let c = a.multiply_naive(&b).unwrap();
         assert_eq!((c.rows(), c.cols()), (2, 4));
         assert!(a.multiply_naive(&a).is_err());
-    }
-
-    #[test]
-    fn parallel_product_matches_sequential() {
-        let a = random_matrix(17, 50, 12345);
-        let b = random_matrix(17, 50, 999);
-        assert_eq!(
-            a.multiply_naive(&b).unwrap(),
-            a.multiply_naive_parallel(&b).unwrap()
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Recursive (divide-and-conquer) fast matrix multiplication, sequential and parallel.
+//! Recursive (divide-and-conquer) fast matrix multiplication, plain and operation-counting.
 
 use crate::{BilinearAlgorithm, MatmulError, Matrix, Result};
 
@@ -80,33 +80,6 @@ pub fn multiply_recursive(
     })
 }
 
-/// Parallel version of [`multiply_recursive`]: the `r` recursive sub-products of the
-/// top `parallel_levels` recursion levels are evaluated concurrently with rayon.
-pub fn multiply_recursive_parallel(
-    alg: &BilinearAlgorithm,
-    a: &Matrix,
-    b: &Matrix,
-    cutoff: usize,
-    parallel_levels: u32,
-) -> Result<Matrix> {
-    let n = check_square_same(a, b)?;
-    let padded = next_power_of(alg.t(), n);
-    let (pa, pb);
-    let (a, b) = if padded != n {
-        pa = a.padded(padded, padded);
-        pb = b.padded(padded, padded);
-        (&pa, &pb)
-    } else {
-        (a, b)
-    };
-    let full = recurse_parallel(alg, a, b, cutoff.max(1), parallel_levels)?;
-    Ok(if padded != n {
-        full.cropped(n, n)
-    } else {
-        full
-    })
-}
-
 /// Instrumented sequential run that also reports the number of scalar operations, for
 /// reproducing the operation-count claims of Section 2.1.
 pub fn multiply_recursive_counting(
@@ -167,44 +140,6 @@ fn recurse(alg: &BilinearAlgorithm, a: &Matrix, b: &Matrix, cutoff: usize) -> Re
         let right = linear_combination(alg.v_row(i), &b_blocks, None)?;
         products.push(recurse(alg, &left, &right, cutoff)?);
     }
-    let mut c = Matrix::zeros(n, n);
-    for pq in 0..t * t {
-        let combo = linear_combination(alg.w_row(pq), &products, None)?;
-        c.set_block(pq / t, pq % t, &combo);
-    }
-    Ok(c)
-}
-
-fn recurse_parallel(
-    alg: &BilinearAlgorithm,
-    a: &Matrix,
-    b: &Matrix,
-    cutoff: usize,
-    parallel_levels: u32,
-) -> Result<Matrix> {
-    let n = a.rows();
-    if parallel_levels == 0 || n <= cutoff || n < alg.t() {
-        return recurse(alg, a, b, cutoff);
-    }
-    let t = alg.t();
-    let block = n / t;
-    let a_blocks: Vec<Matrix> = (0..t * t).map(|i| a.block(i / t, i % t, block)).collect();
-    let b_blocks: Vec<Matrix> = (0..t * t).map(|i| b.block(i / t, i % t, block)).collect();
-    let inputs: Result<Vec<(Matrix, Matrix)>> = (0..alg.r())
-        .map(|i| {
-            Ok((
-                linear_combination(alg.u_row(i), &a_blocks, None)?,
-                linear_combination(alg.v_row(i), &b_blocks, None)?,
-            ))
-        })
-        .collect();
-    let inputs = inputs?;
-    use rayon::prelude::*;
-    let products: Result<Vec<Matrix>> = inputs
-        .par_iter()
-        .map(|(l, r)| recurse_parallel(alg, l, r, cutoff, parallel_levels - 1))
-        .collect();
-    let products = products?;
     let mut c = Matrix::zeros(n, n);
     for pq in 0..t * t {
         let combo = linear_combination(alg.w_row(pq), &products, None)?;
@@ -293,16 +228,6 @@ mod tests {
                 "n={n}"
             );
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let alg = BilinearAlgorithm::strassen();
-        let a = random_matrix(32, 25, 3);
-        let b = random_matrix(32, 25, 4);
-        let seq = multiply_recursive(&alg, &a, &b, 2).unwrap();
-        let par = multiply_recursive_parallel(&alg, &a, &b, 2, 2).unwrap();
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! naive product, and the algebraic identities of the Matrix type must hold.
 
 use fast_matmul::{
-    recursive::{multiply_recursive, multiply_recursive_counting, multiply_recursive_parallel},
+    recursive::{multiply_recursive, multiply_recursive_counting},
     BilinearAlgorithm, Matrix, SparsityProfile,
 };
 use proptest::prelude::*;
@@ -30,11 +30,7 @@ proptest! {
         let b = fast_matmul::random_matrix(n, 50, seed.wrapping_add(1));
         let expected = a.multiply_naive(&b).unwrap();
         let strassen = BilinearAlgorithm::strassen();
-        prop_assert_eq!(multiply_recursive(&strassen, &a, &b, cutoff).unwrap(), expected.clone());
-        prop_assert_eq!(
-            multiply_recursive_parallel(&strassen, &a, &b, cutoff, 2).unwrap(),
-            expected
-        );
+        prop_assert_eq!(multiply_recursive(&strassen, &a, &b, cutoff).unwrap(), expected);
     }
 
     /// Winograd and Laderman recursions also match the naive product on their bases.
@@ -94,8 +90,6 @@ proptest! {
         let id = Matrix::identity(4);
         prop_assert_eq!(a.multiply_naive(&id).unwrap(), a.clone());
         prop_assert_eq!(&id.multiply_naive(&a).unwrap(), &a);
-        // Parallel naive agrees with sequential naive.
-        prop_assert_eq!(a.multiply_naive_parallel(&b).unwrap(), ab);
     }
 
     /// Trace is linear and invariant under transposition; block get/set round-trips.

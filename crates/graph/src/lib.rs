@@ -11,9 +11,9 @@
 //!   Erdős–Rényi model (the generative model of Seshadri–Kolda–Pinar cited by the
 //!   paper) with controllable community structure, plus deterministic constructions
 //!   (complete graph, cycle, star) used as test fixtures;
-//! * exact triangle counting ([`triangles`]): a node-iterator reference algorithm, the
-//!   `trace(A³)/6` identity, a rayon-parallel variant, plus wedge counts and clustering
-//!   coefficients ([`clustering`]);
+//! * exact triangle counting ([`triangles`]): a node-iterator reference algorithm and
+//!   the `trace(A³)/6` identity, plus wedge counts and clustering coefficients
+//!   ([`clustering`]);
 //! * a compiled, batched triangle-threshold oracle ([`oracle::TriangleOracle`]) that
 //!   builds the paper's trace circuit once and answers "≥ τ triangles?" for whole graph
 //!   collections through the bit-sliced 64-lane batch evaluator.

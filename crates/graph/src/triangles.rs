@@ -1,7 +1,6 @@
 //! Exact triangle counting — host-side reference algorithms for the circuits.
 
 use crate::Graph;
-use rayon::prelude::*;
 
 /// Counts triangles with the node-iterator algorithm: for every vertex, count adjacent
 /// pairs of neighbours that are themselves adjacent.  `O(Σ deg(v)²)` time.
@@ -21,29 +20,6 @@ pub fn count_node_iterator(g: &Graph) -> u64 {
         }
     }
     count
-}
-
-/// Rayon-parallel node-iterator triangle counting; returns the same count as
-/// [`count_node_iterator`].
-pub fn count_node_iterator_parallel(g: &Graph) -> u64 {
-    (0..g.num_vertices())
-        .into_par_iter()
-        .map(|v| {
-            let nbrs = g.neighbors(v);
-            let mut local = 0u64;
-            for (idx, &a) in nbrs.iter().enumerate() {
-                if a < v {
-                    continue;
-                }
-                for &b in &nbrs[idx + 1..] {
-                    if b > a && g.has_edge(a, b) {
-                        local += 1;
-                    }
-                }
-            }
-            local
-        })
-        .sum()
 }
 
 /// Counts triangles via the identity `Δ = trace(A³)/6` (Section 2.3 of the paper),
@@ -100,7 +76,6 @@ mod tests {
             let g = generators::erdos_renyi(40, 0.25, seed);
             let ni = count_node_iterator(&g);
             assert_eq!(ni, count_via_trace(&g), "seed={seed}");
-            assert_eq!(ni, count_node_iterator_parallel(&g), "seed={seed}");
             assert_eq!(trace_of_cube(&g), 6 * ni as i128);
         }
     }

@@ -101,9 +101,9 @@ pub trait EvalBackend: Send + Sync {
     fn caps(&self) -> BackendCaps;
 
     /// A relative prior for serving `batch` requests against `circuit`, in
-    /// arbitrary work units. Only used to rank backends when calibration is
-    /// disabled (see [`crate::TunerPolicy::ModelOnly`]); the auto-tuner's
-    /// measured probe overrides it otherwise.
+    /// arbitrary work units. The default rule ([`crate::TunerPolicy::Rule`])
+    /// uses it for the scalar-vs-sliced choice: a per-request backend is
+    /// picked only where its cost is below the bit-sliced pick's.
     fn cost_model(&self, circuit: &CompiledCircuit, batch: usize) -> f64;
 
     /// Evaluates one lane group (`rows.len() <= caps().lane_group`) into

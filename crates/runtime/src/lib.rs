@@ -33,9 +33,11 @@
 //!   deficit-weighted round-robin with groups charged at the backend cost
 //!   model's plane-op estimate — a bursty tenant waits out its own backlog
 //!   instead of starving everyone queued behind it.
-//! * [`AutoTuner`] — picks the backend per (circuit, batch size) from a
-//!   one-shot calibration probe, cached so repeated traffic against the same
-//!   circuit never re-measures.
+//! * [`TunerPolicy`] — picks the backend per (circuit, batch size) by a
+//!   lane-width rule: the smallest bit-sliced group covering
+//!   `min(batch, widest SIMD-vectorized group)`, or `scalar` where its cost
+//!   model is lower. No probe runs and nothing is cached; `Fixed(name)`
+//!   pins one backend instead.
 //! * [`Telemetry`] — lock-light counters: requests, groups, padded lanes,
 //!   gate-evaluations, firings (Uchizawa–Douglas–Maass energy), busy time,
 //!   per-backend tallies, and per-tenant queue-wait gauges with a
@@ -55,10 +57,9 @@
 //!
 //! | Rank | Name | Lock | Held while taking |
 //! |-----:|------|------|-------------------|
-//! | 10 | `SESSION_PACK` | session lane-assembly state (`session.rs`) | scratch, tuner, engine, stage sets, pool, telemetry, trace |
+//! | 10 | `SESSION_PACK` | session lane-assembly state (`session.rs`) | scratch, engine, stage sets, pool, telemetry, trace |
 //! | 20 | `SESSION_CONSUME` | session delivery window (`session.rs`) | pool, trace |
 //! | 30 | `INLINE_SCRATCH` | inline-dispatch scratch (`session.rs`) | engine, pool, telemetry, trace |
-//! | 40 | `TUNER_CACHE` | autotuner plan cache (`tuner.rs`) | — (leaf) |
 //! | 50 | `ENGINE_STATE` | scheduler queues/lanes/ring (`scheduler.rs`) | — (leaf) |
 //! | 60 | `STAGE_SETS` | per-stage histogram registry (`session.rs`) | — (leaf) |
 //! | 70 | `RESPONSE_POOL` | response recycling pool (`session.rs`) | — (leaf) |
@@ -140,7 +141,7 @@ pub use telemetry::{
     BackendTally, Telemetry, TelemetryReporter, TelemetrySummary, TenantTally,
     TELEMETRY_SCHEMA_VERSION,
 };
-pub use tuner::{AutoTuner, TunerPolicy};
+pub use tuner::TunerPolicy;
 
 /// Identifies one tenant of the shared runtime — one traffic source whose
 /// groups are queued, scheduled, and accounted separately from every other

@@ -32,8 +32,6 @@ impl LockRank {
     pub const SESSION_CONSUME: LockRank = LockRank(20);
     /// Inline-dispatch scratch buffers.
     pub const INLINE_SCRATCH: LockRank = LockRank(30);
-    /// Autotuner plan cache.
-    pub const TUNER_CACHE: LockRank = LockRank(40);
     /// Scheduler engine state (queues, lanes, delivery ring).
     pub const ENGINE_STATE: LockRank = LockRank(50);
     /// Registry of per-stage histogram sets.

@@ -1,11 +1,11 @@
 //! The serving facade: batch, stream, and session submission against any
-//! compiled circuit, with auto-tuned backend choice and scheduler sharding.
+//! compiled circuit, with rule-picked backend choice and scheduler sharding.
 
 use crate::backend::{BackendRegistry, Detail, EvalBackend, Response};
 use crate::scheduler::AdmissionPolicy;
 use crate::session::{SessionOptions, SessionShared, StreamSession};
 use crate::telemetry::{Telemetry, TelemetrySummary};
-use crate::tuner::{rank_by_model, AutoTuner, TunerPolicy};
+use crate::tuner::{pick_by_rule, TunerPolicy};
 use crate::{Result, TenantId};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -188,7 +188,6 @@ impl RuntimeBuilder {
             .collect();
         Runtime {
             registry: self.registry,
-            tuner: AutoTuner::new(),
             policy: self.policy,
             opts: self.opts,
             telemetry: Telemetry::default(),
@@ -211,14 +210,13 @@ struct BackendHealth {
 
 /// A circuit-agnostic serving runtime.
 ///
-/// One instance owns a backend registry, an auto-tuner cache, and telemetry;
+/// One instance owns a backend registry, a selection policy, and telemetry;
 /// it holds no circuit state, so the same runtime serves any number of
 /// compiled circuits concurrently (`&self` everywhere, all state
 /// interior-mutable and thread-safe).
 #[derive(Debug)]
 pub struct Runtime {
     registry: BackendRegistry,
-    tuner: AutoTuner,
     policy: TunerPolicy,
     opts: RuntimeOptions,
     telemetry: Telemetry,
@@ -233,8 +231,8 @@ impl Default for Runtime {
 }
 
 impl Runtime {
-    /// A runtime with the standard backend registry, measuring tuner policy,
-    /// and one worker per core.
+    /// A runtime with the standard backend registry, the lane-width rule
+    /// ([`TunerPolicy::Rule`]), and one worker per core.
     pub fn new() -> Self {
         Runtime::default()
     }
@@ -254,7 +252,8 @@ impl Runtime {
     }
 
     /// The name of the backend the runtime would use for `batch` requests
-    /// against `circuit` (running calibration if that bucket is unseen).
+    /// against `circuit`. Evaluates nothing: the pick is a rule over lane
+    /// widths and cost models.
     pub fn backend_for(&self, circuit: &CompiledCircuit, batch: usize) -> Result<&'static str> {
         let idx = self.pick_backend(circuit, batch)?;
         Ok(self.registry.backends()[idx].caps().name)
@@ -263,26 +262,6 @@ impl Runtime {
     /// A snapshot of everything served so far.
     pub fn telemetry(&self) -> TelemetrySummary {
         self.telemetry.snapshot()
-    }
-
-    /// The auto-tuner backing [`crate::TunerPolicy::Measure`] (its
-    /// calibration cache persists via [`Runtime::save_tuner_cache`]).
-    pub fn tuner(&self) -> &AutoTuner {
-        &self.tuner
-    }
-
-    /// Persists the tuner's (circuit fingerprint × batch bucket → backend)
-    /// calibration cache as JSON, so a later process can warm-start with
-    /// [`Runtime::load_tuner_cache`] and serve without re-probing.
-    pub fn save_tuner_cache<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        self.tuner.save_json(&self.registry, path)
-    }
-
-    /// Loads a calibration cache saved by [`Runtime::save_tuner_cache`],
-    /// returning how many entries were adopted (entries naming backends not
-    /// in this runtime's registry are skipped).
-    pub fn load_tuner_cache<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<usize> {
-        self.tuner.load_json(&self.registry, path)
     }
 
     /// Opens a streaming session against `circuit` and runs `f` with it.
@@ -296,8 +275,7 @@ impl Runtime {
     /// see [`StreamSession`] for the flat-memory contract.
     ///
     /// The backend is picked lazily on the first submitted row, so opening
-    /// (and closing) a session that never submits costs nothing — in
-    /// particular, no calibration probe runs for an empty stream.
+    /// (and closing) a session that never submits costs nothing.
     pub fn open_session<T>(
         &self,
         circuit: &CompiledCircuit,
@@ -430,7 +408,7 @@ impl Runtime {
     /// drives submission and drains completed responses whenever the queue
     /// pushes back, so the input side stays bounded even though the result
     /// is materialised. The backend is picked lazily on the first packed
-    /// row — an empty stream never pays a calibration probe.
+    /// row.
     // By-value `serve` for the same reason as `serve_batch_with` above.
     #[allow(clippy::needless_pass_by_value)]
     pub fn serve_stream_with<I>(
@@ -463,8 +441,7 @@ impl Runtime {
     pub(crate) fn pick_backend(&self, circuit: &CompiledCircuit, batch: usize) -> Result<usize> {
         let idx = match &self.policy {
             TunerPolicy::Fixed(name) => self.registry.index_of(name),
-            TunerPolicy::ModelOnly => rank_by_model(&self.registry, circuit, batch),
-            TunerPolicy::Measure => self.tuner.pick(&self.registry, circuit, batch),
+            TunerPolicy::Rule => pick_by_rule(&self.registry, circuit, batch),
         }?;
         if self.backend_usable(idx) {
             return Ok(idx);
@@ -621,26 +598,118 @@ mod tests {
         assert_eq!(runtime.telemetry().requests, 0);
     }
 
-    #[test]
-    fn auto_tuning_calibrates_once_and_serves_correctly() {
-        let cc = adder();
-        let runtime = Runtime::new();
-        let requests = rows(300);
-        let responses = runtime.serve_batch(&cc, &requests).unwrap();
-        check_against_scalar(&cc, &requests, &responses);
-        let name = runtime.backend_for(&cc, 300).unwrap();
-        assert!(runtime.registry().index_of(name).is_ok());
-        // Same bucket again: no new calibration, same choice.
-        let responses = runtime.serve_batch(&cc, &requests).unwrap();
-        check_against_scalar(&cc, &requests, &responses);
+    /// A bank-shaped circuit like the paper's Lemma 3.1 blocks: 40
+    /// thresholds over one 40-input row, 1,600 source edges stored once.
+    fn thermometer() -> CompiledCircuit {
+        let mut b = CircuitBuilder::new(40);
+        let terms: Vec<_> = (0..40).map(|i| (Wire::input(i), 1)).collect();
+        for g in b.add_bank(terms, 1..=40).unwrap() {
+            b.mark_output(g);
+        }
+        let circuit = b.build();
+        assert!(circuit.num_edges() > 1_000);
+        circuit.compile().unwrap()
+    }
+
+    /// The rule's bit-sliced pick for `batch`, derived from the host's SIMD
+    /// level: the smallest group covering the batch, capped at the widest
+    /// vectorized one.
+    fn sliced_pick(batch: usize) -> &'static str {
+        let widest = [8, 4, 2]
+            .into_iter()
+            .find(|&w| tc_circuit::simd::vectorized_width(w))
+            .map_or(64, |w| 64 * w);
+        match batch.min(widest) {
+            0..=64 => "sliced64",
+            65..=128 => "wide128",
+            129..=256 => "wide256",
+            _ => "wide512",
+        }
     }
 
     #[test]
-    fn model_only_policy_is_deterministic() {
-        let cc = adder();
-        let runtime = Runtime::builder().policy(TunerPolicy::ModelOnly).build();
-        assert_eq!(runtime.backend_for(&cc, 1).unwrap(), "scalar");
-        assert_eq!(runtime.backend_for(&cc, 100_000).unwrap(), "wide512");
+    fn rule_picks_the_smallest_group_the_batch_fills() {
+        let adder = adder();
+        let bank = thermometer();
+        let runtime = Runtime::new();
+        for batch in [1, 63, 64, 65, 100, 256, 389, 635, 1024, 4096] {
+            // Scalar undercuts a 64-lane pass only for one request on the
+            // 7-edge adder; the bank's shared row keeps it sliced.
+            let expected = if batch == 1 {
+                "scalar"
+            } else {
+                sliced_pick(batch)
+            };
+            assert_eq!(runtime.backend_for(&adder, batch).unwrap(), expected);
+            assert_eq!(
+                runtime.backend_for(&bank, batch).unwrap(),
+                sliced_pick(batch)
+            );
+
+            // A default runtime serves the batch on that pick, correctly.
+            let served = Runtime::new();
+            let requests = rows(batch);
+            let responses = served.serve_batch(&adder, &requests).unwrap();
+            check_against_scalar(&adder, &requests, &responses);
+            let summary = served.telemetry();
+            assert_eq!(
+                summary.per_backend.keys().copied().collect::<Vec<_>>(),
+                vec![expected]
+            );
+        }
+    }
+
+    /// A bit-sliced backend that must never run.
+    struct Unreachable(&'static str, usize);
+    impl crate::EvalBackend for Unreachable {
+        fn caps(&self) -> crate::BackendCaps {
+            crate::BackendCaps {
+                name: self.0,
+                lane_group: self.1,
+                bit_sliced: true,
+            }
+        }
+        fn cost_model(&self, _: &CompiledCircuit, _: usize) -> f64 {
+            0.0
+        }
+        fn eval_group(
+            &self,
+            _: &CompiledCircuit,
+            _: &[&[bool]],
+            _: Detail,
+            _: &mut tc_circuit::PlaneArena,
+            _: &mut Vec<crate::Response>,
+        ) -> crate::Result<()> {
+            panic!("backend {} evaluated outside a served request", self.0);
+        }
+    }
+
+    #[test]
+    fn picking_a_backend_evaluates_nothing() {
+        let cc = thermometer();
+        // Shadow the rule's pick for a large batch (wide512 on an AVX2 or
+        // AVX-512 host, sliced64 with SIMD off) with a backend that panics
+        // when evaluated.
+        let shadowed = Runtime::new().backend_for(&cc, 4096).unwrap();
+        let standard = BackendRegistry::standard();
+        let lanes = standard.backends()[standard.index_of(shadowed).unwrap()]
+            .caps()
+            .lane_group;
+        let runtime = Runtime::builder()
+            .register(Box::new(Unreachable(shadowed, lanes)))
+            .build();
+        let unreachable = runtime.registry().backends().len() - 1;
+        assert_eq!(runtime.pick_backend(&cc, 4096).unwrap(), unreachable);
+        assert_eq!(runtime.backend_for(&cc, 4096).unwrap(), shadowed);
+
+        let no_rows: Vec<Vec<bool>> = Vec::new();
+        assert!(runtime.serve_stream(&cc, no_rows).unwrap().is_empty());
+        let out = runtime.open_session(&cc, SessionOptions::default(), |session| {
+            session.finish();
+            session.next_response().map(|r| r.is_none())
+        });
+        assert!(out.unwrap());
+        assert_eq!(runtime.telemetry().requests, 0);
     }
 
     #[test]

@@ -174,7 +174,7 @@ impl SessionOptions {
 }
 
 /// The backend decision a session makes on its first submitted row (so an
-/// empty session never pays a calibration probe).
+/// empty session resolves nothing).
 #[derive(Debug, Clone, Copy)]
 struct Plan {
     backend_idx: usize,
@@ -526,7 +526,7 @@ impl<'a> SessionShared<'a> {
     }
 
     /// Resolves the backend, worker plan, and engine bounds on the first
-    /// submitted row — an empty session never runs a calibration probe.
+    /// submitted row — an empty session resolves nothing.
     fn ensure_plan(&self) -> Result<Plan> {
         if let Some(plan) = self.plan.get() {
             return Ok(*plan);

@@ -59,13 +59,13 @@ fn reacquiring_the_same_rank_panics() {
     // Equal ranks are an inversion too: "strictly increasing" is what makes
     // the hierarchy deadlock-free, and self-deadlock on one mutex is the
     // degenerate case.
-    let a = OrderedMutex::new(LockRank::TUNER_CACHE, "test.a", 0u32);
-    let b = OrderedMutex::new(LockRank::TUNER_CACHE, "test.b", 0u32);
+    let a = OrderedMutex::new(LockRank::STAGE_SETS, "test.a", 0u32);
+    let b = OrderedMutex::new(LockRank::STAGE_SETS, "test.b", 0u32);
     let msg = panic_message(|| {
         let _a = a.lock().unwrap();
         let _b = b.lock().unwrap();
     });
-    assert!(msg.contains("rank 40"), "both ranks are 40: {msg}");
+    assert!(msg.contains("rank 60"), "both ranks are 60: {msg}");
 }
 
 #[test]
@@ -77,7 +77,6 @@ fn increasing_acquisition_is_clean_across_the_runtime_hierarchy() {
         OrderedMutex::new(LockRank::SESSION_PACK, "t.pack", ()),
         OrderedMutex::new(LockRank::SESSION_CONSUME, "t.consume", ()),
         OrderedMutex::new(LockRank::INLINE_SCRATCH, "t.scratch", ()),
-        OrderedMutex::new(LockRank::TUNER_CACHE, "t.tuner", ()),
         OrderedMutex::new(LockRank::ENGINE_STATE, "t.engine", ()),
         OrderedMutex::new(LockRank::STAGE_SETS, "t.stages", ()),
         OrderedMutex::new(LockRank::RESPONSE_POOL, "t.pool", ()),

@@ -31,32 +31,6 @@ fn rows(n: usize) -> Vec<Vec<bool>> {
 }
 
 #[test]
-fn empty_session_and_empty_stream_never_probe() {
-    // Satellite regression: `serve_stream` used to run the calibration
-    // probe before pulling a single request, so an empty stream still paid
-    // a full probe. The backend is now picked lazily on the first packed
-    // row.
-    let cc = adder();
-    let runtime = Runtime::new(); // Measure policy
-    let no_rows: Vec<Vec<bool>> = Vec::new();
-    assert!(runtime.serve_stream(&cc, no_rows).unwrap().is_empty());
-    assert_eq!(runtime.tuner().calibration_count(), 0);
-
-    // An opened-and-closed session without submissions is just as free.
-    let out = runtime.open_session(&cc, SessionOptions::default(), |session| {
-        session.finish();
-        session.next_response().map(|r| r.is_none())
-    });
-    assert!(out.unwrap());
-    assert_eq!(runtime.tuner().calibration_count(), 0);
-    assert_eq!(runtime.telemetry().requests, 0);
-
-    // The first real request then calibrates exactly once.
-    runtime.serve_stream(&cc, rows(10)).unwrap();
-    assert_eq!(runtime.tuner().calibration_count(), 1);
-}
-
-#[test]
 fn one_worker_sessions_record_a_queue_wait_per_dispatched_group() {
     // One worker runs every group inline on the submitting thread, with no
     // queue in between: each group still records one (zero) queue wait.
