@@ -18,6 +18,7 @@ use std::time::Instant;
 
 use fast_matmul::BilinearAlgorithm;
 use tc_graph::{clustering, generators, triangles, Graph, TriangleOracle};
+use tc_runtime::Runtime;
 use tcmm_bench::{banner, f, Table};
 use tcmm_core::{naive::NaiveTriangleCircuit, trace::TraceCircuit, CircuitConfig};
 
@@ -119,15 +120,16 @@ fn main() {
 
     banner("high-traffic serving: one compiled oracle answering 10k triangle queries");
     // The compile-once / evaluate-many path: a single TriangleOracle compiles
-    // the Theorem 4.5 circuit once; 10k graphs then route through its serving
-    // runtime (auto-tuned bit-sliced lane groups, worker-sharded).
+    // the Theorem 4.5 circuit once; 10k graphs then route through a serving
+    // runtime (rule-picked bit-sliced lane groups, worker-sharded).
     let oracle = TriangleOracle::new(&config, 16, 2, 8).unwrap();
+    let runtime = Runtime::new();
     let queries: Vec<Graph> = (0..10_000u64)
         .map(|s| generators::erdos_renyi(16, 0.3, 10_000 + s))
         .collect();
 
     let t0 = Instant::now();
-    let answers = oracle.query_many(&queries).unwrap();
+    let answers = oracle.query_many_with(&runtime, &queries).unwrap();
     let batched_s = t0.elapsed().as_secs_f64();
 
     let sample = 256usize; // per-call serving cost, extrapolated

@@ -29,7 +29,7 @@ use tcmm_core::{
 
 /// Energy (mean firings per evaluation) of an already-compiled circuit over
 /// the given input batches: the whole sweep routes through one shared
-/// serving runtime (auto-tuned wide lane groups, worker-sharded).
+/// serving runtime (rule-picked wide lane groups, worker-sharded).
 fn mean_energy(
     runtime: &tc_runtime::Runtime,
     compiled: &CompiledCircuit,

@@ -5,7 +5,6 @@ use crate::eval::Evaluation;
 use crate::stats::CircuitStats;
 use crate::verify::VerifyReport;
 use crate::{CircuitError, Result, ThresholdGate, Wire};
-use serde::{Deserialize, Serialize};
 
 /// A feed-forward circuit of [`ThresholdGate`]s over a fixed set of primary inputs.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// constant-one wire have depth 0, and a gate's depth is one more than the maximum
 /// depth of its fan-in.  The circuit's depth is the maximum gate depth, which matches
 /// the paper's notion of depth (number of gate layers on the longest path).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Circuit {
     pub(crate) num_inputs: usize,
     /// Row fan-in offsets: the edges of row `r` are
@@ -282,26 +281,5 @@ mod tests {
         assert_eq!(c.num_gates(), 0);
         assert!(c.layers().is_empty());
         assert!(c.evaluate(&[false; 4]).unwrap().outputs().is_empty());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = full_adder();
-        let json = serde_json_roundtrip(&c);
-        assert_eq!(json.num_gates(), c.num_gates());
-        assert_eq!(json.depth(), c.depth());
-        let ev_a = c.evaluate(&[true, true, false]).unwrap();
-        let ev_b = json.evaluate(&[true, true, false]).unwrap();
-        assert_eq!(ev_a.outputs(), ev_b.outputs());
-    }
-
-    fn serde_json_roundtrip(c: &Circuit) -> Circuit {
-        // Use the bincode-free path: serde_json is not a dependency, so round-trip via
-        // the serde data model using serde's test-friendly `serde::de::value` types is
-        // overkill; instead just clone through serialization to a Vec with postcard-like
-        // manual approach.  Simpler: rely on Clone here and check Serialize compiles.
-        fn assert_serializable<T: serde::Serialize + for<'a> serde::Deserialize<'a>>(_: &T) {}
-        assert_serializable(c);
-        c.clone()
     }
 }

@@ -6,11 +6,10 @@
 
 use crate::compiled::CompiledCircuit;
 use crate::Circuit;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Per-layer statistics of a circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerStats {
     /// 1-based layer (depth) index.
     pub depth: u32,
@@ -30,7 +29,7 @@ pub struct LayerStats {
 /// * `max_fan_in` — maximum number of inputs to any gate;
 /// * `max_abs_weight` — largest |weight| used anywhere (a proxy for required synaptic
 ///   precision on neuromorphic hardware).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CircuitStats {
     /// Number of primary inputs.
     pub inputs: usize,

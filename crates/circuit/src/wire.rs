@@ -1,6 +1,5 @@
 //! Wires: the values flowing between gates.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A wire in a threshold circuit.
@@ -13,7 +12,7 @@ use std::fmt;
 ///
 /// The constant-one wire is a convenience: it lets constructions add a constant term to
 /// a gate's weighted sum without special-casing the threshold, and it costs no gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Wire {
     /// The `i`-th primary input of the circuit (0-based).
     Input(u32),

@@ -84,33 +84,15 @@ impl MatmulBackend {
 
     /// Multiplies many matrix pairs with this backend.
     ///
-    /// The host-side backends loop over [`MatmulBackend::multiply`]; the
-    /// threshold-circuit backend instead generates **one** circuit covering
-    /// the largest pair and routes every product through its serving runtime
-    /// (bit-sliced lane groups, worker sharding) — the compile-once /
-    /// evaluate-many shape batched convnet inference needs.
-    pub fn multiply_many(
-        &self,
-        pairs: &[(Matrix, Matrix)],
-    ) -> Result<Vec<Matrix>, Box<dyn std::error::Error>> {
-        self.multiply_many_inner(pairs, None)
-    }
-
-    /// Like [`MatmulBackend::multiply_many`] but circuit evaluation runs on
-    /// a caller-provided (typically shared) [`Runtime`]. The host-side
-    /// backends ignore the runtime.
+    /// The host-side backends loop over [`MatmulBackend::multiply`] and
+    /// ignore the runtime; the threshold-circuit backend instead generates
+    /// **one** circuit covering the largest pair and routes every product
+    /// through `runtime` (bit-sliced lane groups, worker sharding) — the
+    /// compile-once / evaluate-many shape batched convnet inference needs.
     pub fn multiply_many_with(
         &self,
         runtime: &Runtime,
         pairs: &[(Matrix, Matrix)],
-    ) -> Result<Vec<Matrix>, Box<dyn std::error::Error>> {
-        self.multiply_many_inner(pairs, Some(runtime))
-    }
-
-    fn multiply_many_inner(
-        &self,
-        pairs: &[(Matrix, Matrix)],
-        runtime: Option<&Runtime>,
     ) -> Result<Vec<Matrix>, Box<dyn std::error::Error>> {
         match self {
             MatmulBackend::Naive | MatmulBackend::Fast { .. } => {
@@ -141,10 +123,7 @@ impl MatmulBackend {
                     .max(1) as usize;
                 let config = CircuitConfig::new(algorithm.clone(), bits);
                 let circuit = MatmulCircuit::theorem_4_9(&config, n, *depth_parameter)?;
-                let products = match runtime {
-                    Some(rt) => circuit.evaluate_many_with(rt, &padded)?,
-                    None => circuit.evaluate_many(&padded)?,
-                };
+                let products = circuit.evaluate_many_with(runtime, &padded)?;
                 Ok(pairs
                     .iter()
                     .zip(products)

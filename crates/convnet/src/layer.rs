@@ -96,19 +96,9 @@ pub fn conv_via_matmul(
 ///
 /// With the threshold-circuit backend this is the serving path: one circuit
 /// is generated for the layer geometry and every image's im2col product
-/// rides the runtime's bit-sliced lane groups
-/// ([`MatmulBackend::multiply_many`]).
-pub fn conv_via_matmul_many(
-    spec: &ConvLayerSpec,
-    images: &[Tensor3],
-    kernels: &[Tensor3],
-    backend: &MatmulBackend,
-) -> Result<Vec<Matrix>, Box<dyn std::error::Error>> {
-    backend.multiply_many(&conv_pairs(spec, images, kernels))
-}
-
-/// Like [`conv_via_matmul_many`] but circuit evaluation runs on a
-/// caller-provided (typically shared) [`Runtime`].
+/// rides `runtime`'s bit-sliced lane groups
+/// ([`MatmulBackend::multiply_many_with`]). The host-side backends ignore
+/// the runtime.
 pub fn conv_via_matmul_many_with(
     runtime: &Runtime,
     spec: &ConvLayerSpec,
@@ -197,7 +187,8 @@ mod tests {
             depth_parameter: 1,
         };
         let shared = Runtime::builder().fixed_backend("sliced64").build();
-        let batched = conv_via_matmul_many(&s, &images, &kernels, &backend).unwrap();
+        let batched =
+            conv_via_matmul_many_with(&Runtime::new(), &s, &images, &kernels, &backend).unwrap();
         let on_shared =
             conv_via_matmul_many_with(&shared, &s, &images, &kernels, &backend).unwrap();
         assert_eq!(batched, on_shared);
@@ -217,7 +208,7 @@ mod tests {
             algorithm: fast_matmul::BilinearAlgorithm::strassen(),
             depth_parameter: 1,
         };
-        let out = conv_via_matmul_many(&s, &[], &kernels, &backend).unwrap();
+        let out = conv_via_matmul_many_with(&Runtime::new(), &s, &[], &kernels, &backend).unwrap();
         assert!(out.is_empty());
     }
 }

@@ -14,9 +14,9 @@
 //! * [`conv_via_matmul`] — convolution through any matrix-multiplication backend
 //!   ([`MatmulBackend`]): the naive product, a recursive fast algorithm, or an actual
 //!   threshold circuit from `tcmm-core`;
-//! * [`conv_via_matmul_many`] — batched inference: one circuit per layer geometry,
-//!   every image's product served through the `tc_runtime` lane-group scheduler
-//!   (share a runtime across workloads with [`conv_via_matmul_many_with`]).
+//! * [`conv_via_matmul_many_with`] — batched inference: one circuit per layer
+//!   geometry, every image's product served through a caller's `tc_runtime`
+//!   lane-group scheduler (one runtime can be shared across workloads).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,7 +28,5 @@ mod tensor;
 
 pub use backend::MatmulBackend;
 pub use im2col::{im2col, kernel_matrix};
-pub use layer::{
-    conv_direct, conv_via_matmul, conv_via_matmul_many, conv_via_matmul_many_with, ConvLayerSpec,
-};
+pub use layer::{conv_direct, conv_via_matmul, conv_via_matmul_many_with, ConvLayerSpec};
 pub use tensor::Tensor3;

@@ -23,9 +23,9 @@ use tc_runtime::Runtime;
 /// [`SignedInt::mark_as_outputs`]), so products are decoded from the output
 /// values alone. The circuit is lowered to its compiled CSR form once at
 /// construction and both entry points (scalar and batched) run off that
-/// form. Batched products route through an embedded [`Runtime`] on the
-/// outputs-only serving path; [`MatmulCircuit::evaluate_many_with`] accepts
-/// a shared one.
+/// form. The circuit owns no runtime: batched products go through
+/// [`MatmulCircuit::evaluate_many_with`] on a caller's [`Runtime`], on the
+/// outputs-only serving path.
 #[derive(Debug)]
 pub struct MatmulCircuit {
     circuit: Circuit,
@@ -36,7 +36,6 @@ pub struct MatmulCircuit {
     n: usize,
     schedule: LevelSchedule,
     bound: PaperBound,
-    runtime: Runtime,
 }
 
 impl MatmulCircuit {
@@ -98,7 +97,6 @@ impl MatmulCircuit {
             n,
             schedule,
             bound,
-            runtime: Runtime::new(),
         })
     }
 
@@ -177,15 +175,9 @@ impl MatmulCircuit {
         Ok(self.decode(self.compiled.evaluate(&bits)?.outputs()))
     }
 
-    /// Multiplies many matrix pairs through the embedded serving runtime:
-    /// pairs ride bit-sliced lane groups (64–512 lanes per pass, auto-tuned)
-    /// sharded across worker threads.
-    pub fn evaluate_many(&self, pairs: &[(Matrix, Matrix)]) -> Result<Vec<Matrix>> {
-        self.evaluate_many_with(&self.runtime, pairs)
-    }
-
-    /// Like [`MatmulCircuit::evaluate_many`] but on a caller-provided
-    /// (typically shared) [`Runtime`].
+    /// Multiplies many matrix pairs on `runtime`: pairs ride bit-sliced lane
+    /// groups (64–512 lanes per pass, rule-picked) sharded across worker
+    /// threads.
     pub fn evaluate_many_with(
         &self,
         runtime: &Runtime,
@@ -199,11 +191,6 @@ impl MatmulCircuit {
             .serve_batch(&self.compiled, &rows)
             .map_err(crate::CoreError::from)?;
         Ok(responses.iter().map(|r| self.decode(&r.outputs)).collect())
-    }
-
-    /// The embedded serving runtime (telemetry, backend registry).
-    pub fn runtime(&self) -> &Runtime {
-        &self.runtime
     }
 
     fn encode(&self, a: &Matrix, b: &Matrix) -> Result<Vec<bool>> {
@@ -328,7 +315,9 @@ mod tests {
                 )
             })
             .collect();
-        let products = mm.evaluate_many(&pairs).unwrap();
+        let products = mm
+            .evaluate_many_with(&tc_runtime::Runtime::new(), &pairs)
+            .unwrap();
         assert_eq!(products.len(), pairs.len());
         for ((a, b), c) in pairs.iter().zip(&products) {
             assert_eq!(c, &a.multiply_naive(b).unwrap());

@@ -30,11 +30,10 @@ use tc_runtime::Runtime;
 /// zero-diagonal integer matrices `A`.
 ///
 /// The circuit is lowered to its compiled CSR form once at construction;
-/// every evaluation entry point (scalar, parallel, batched) runs off that
-/// form, so issuing many queries never rebuilds per-gate state. Batched
-/// queries route through an embedded [`Runtime`] (auto-tuned backend choice,
-/// worker-sharded lane groups); [`TraceCircuit::evaluate_many_with`] accepts
-/// a shared runtime instead, so one runtime can serve many circuits.
+/// both evaluation entry points (scalar and batched) run off that form, so
+/// issuing many queries never rebuilds per-gate state. The circuit owns no
+/// runtime: batched queries go through [`TraceCircuit::evaluate_many_with`]
+/// on a caller's [`Runtime`], so one runtime can serve many circuits.
 #[derive(Debug)]
 pub struct TraceCircuit {
     circuit: Circuit,
@@ -43,7 +42,6 @@ pub struct TraceCircuit {
     tau: i64,
     schedule: LevelSchedule,
     bound: PaperBound,
-    runtime: Runtime,
 }
 
 impl TraceCircuit {
@@ -115,7 +113,6 @@ impl TraceCircuit {
             tau,
             schedule,
             bound,
-            runtime: Runtime::new(),
         })
     }
 
@@ -182,20 +179,13 @@ impl TraceCircuit {
         Ok(ev.outputs()[0])
     }
 
-    /// Answers the trace-threshold query for many matrices through the
-    /// embedded serving runtime.
+    /// Answers the trace-threshold query for many matrices on `runtime`.
     ///
     /// The runtime packs queries into full bit-sliced lane groups (64–512
-    /// lanes per pass, auto-tuned per batch size), shards groups across
+    /// lanes per pass, rule-picked per batch size), shards groups across
     /// worker threads, and rides ragged tails through the same path — so
     /// asking 10k queries costs a few dozen wide passes over the compiled
     /// circuit instead of 10k scalar evaluations.
-    pub fn evaluate_many(&self, matrices: &[Matrix]) -> Result<Vec<bool>> {
-        self.evaluate_many_with(&self.runtime, matrices)
-    }
-
-    /// Like [`TraceCircuit::evaluate_many`] but on a caller-provided
-    /// (typically shared) [`Runtime`].
     pub fn evaluate_many_with(&self, runtime: &Runtime, matrices: &[Matrix]) -> Result<Vec<bool>> {
         let mut rows = Vec::with_capacity(matrices.len());
         for a in matrices {
@@ -205,11 +195,6 @@ impl TraceCircuit {
             .serve_batch(&self.compiled, &rows)
             .map_err(crate::CoreError::from)?;
         Ok(responses.into_iter().map(|r| r.outputs[0]).collect())
-    }
-
-    /// The embedded serving runtime (telemetry, backend registry).
-    pub fn runtime(&self) -> &Runtime {
-        &self.runtime
     }
 
     fn encode(&self, a: &Matrix) -> Result<Vec<bool>> {
@@ -361,7 +346,9 @@ mod tests {
         let tau = trace_of_cube(&a0) as i64;
         let circuit = TraceCircuit::theorem_4_5(&config, 8, 2, tau).unwrap();
         let matrices: Vec<Matrix> = (0..70).map(|s| adjacency(8, 0.45, s + 1)).collect();
-        let batched = circuit.evaluate_many(&matrices).unwrap();
+        let batched = circuit
+            .evaluate_many_with(&tc_runtime::Runtime::new(), &matrices)
+            .unwrap();
         assert_eq!(batched.len(), matrices.len());
         for (m, &got) in matrices.iter().zip(&batched) {
             assert_eq!(got, circuit.evaluate(m).unwrap());

@@ -1,7 +1,6 @@
 //! Bilinear (Strassen-like) matrix-multiplication recipes.
 
 use crate::{MatmulError, Matrix, Result};
-use serde::{Deserialize, Serialize};
 
 /// A bilinear matrix-multiplication algorithm `⟨T,T,T; r⟩`.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// expressions of Figure 1 of the paper.  The paper restricts exposition to `{−1,1}`
 /// coefficients but notes the extension to general integer weights; this type allows
 /// arbitrary `i64` coefficients and all downstream constructions handle them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BilinearAlgorithm {
     name: String,
     t: usize,

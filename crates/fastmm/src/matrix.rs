@@ -1,7 +1,6 @@
 //! Dense row-major integer matrices with exact arithmetic.
 
 use crate::{MatmulError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -10,7 +9,7 @@ use std::ops::{Index, IndexMut};
 /// All arithmetic is exact: additions and multiplications check for `i64` overflow and
 /// return [`MatmulError::Overflow`] instead of wrapping.  The paper assumes matrix
 /// entries of `O(log N)` bits, for which 64-bit arithmetic is ample.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

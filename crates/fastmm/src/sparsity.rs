@@ -2,7 +2,6 @@
 //! constants that control the threshold-circuit constructions.
 
 use crate::BilinearAlgorithm;
-use serde::{Deserialize, Serialize};
 
 /// The sparsity quantities of Definition 2.1 and the constants of Section 4.3.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// For Strassen's algorithm these evaluate to `s_A = s_B = s_C = 12`, `α = 7/12`,
 /// `β = 3`, `γ ≈ 0.491`, `c ≈ 1.585` — the numbers quoted in the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparsityProfile {
     /// `a_i` per product.
     pub a: Vec<usize>,

@@ -5,9 +5,9 @@
 //! form "does this graph have at least τ triangles?".  Serving such queries
 //! at volume means the circuit must be built **once** and then evaluated
 //! many times; [`TriangleOracle`] wraps a [`TraceCircuit`] (already lowered
-//! to its compiled CSR form) and routes whole graph collections through the
-//! `tc_runtime` serving runtime — auto-tuned bit-sliced lane groups sharded
-//! across worker threads.
+//! to its compiled CSR form) and routes whole graph collections through a
+//! caller's `tc_runtime` serving runtime — rule-picked bit-sliced lane groups
+//! sharded across worker threads.
 
 use crate::Graph;
 use tc_runtime::Runtime;
@@ -87,14 +87,8 @@ impl TriangleOracle {
             .evaluate(&g.padded_adjacency_matrix(self.padded_n))
     }
 
-    /// Answers the query for a whole collection of graphs through the trace
-    /// circuit's embedded serving runtime.
-    pub fn query_many(&self, graphs: &[Graph]) -> Result<Vec<bool>, CoreError> {
-        self.query_many_with(self.circuit.runtime(), graphs)
-    }
-
-    /// Like [`TriangleOracle::query_many`] but on a caller-provided
-    /// (typically shared) [`Runtime`].
+    /// Answers the query for a whole collection of graphs on `runtime`
+    /// (typically one shared by many circuits).
     pub fn query_many_with(
         &self,
         runtime: &Runtime,
@@ -106,11 +100,6 @@ impl TriangleOracle {
             padded.push(g.padded_adjacency_matrix(self.padded_n));
         }
         self.circuit.evaluate_many_with(runtime, &padded)
-    }
-
-    /// The serving runtime batched queries run on (telemetry, registry).
-    pub fn runtime(&self) -> &Runtime {
-        self.circuit.runtime()
     }
 
     fn check(&self, g: &Graph) -> Result<(), CoreError> {
@@ -136,7 +125,7 @@ mod tests {
         let graphs: Vec<Graph> = (0..70)
             .map(|seed| generators::erdos_renyi(5 + (seed as usize % 4), 0.5, seed))
             .collect();
-        let answers = oracle.query_many(&graphs).unwrap();
+        let answers = oracle.query_many_with(&Runtime::new(), &graphs).unwrap();
         for (g, &got) in graphs.iter().zip(&answers) {
             let exact = triangles::count_node_iterator(g);
             assert_eq!(got, exact >= 3, "exact={exact}");
@@ -154,7 +143,8 @@ mod tests {
             .map(|seed| generators::erdos_renyi(6, 0.5, seed))
             .collect();
         let answers = oracle.query_many_with(&shared, &graphs).unwrap();
-        assert_eq!(answers, oracle.query_many(&graphs).unwrap());
+        let per_graph: Vec<bool> = graphs.iter().map(|g| oracle.query(g).unwrap()).collect();
+        assert_eq!(answers, per_graph);
         let summary = shared.telemetry();
         assert_eq!(summary.requests, 150);
         assert_eq!(summary.per_backend["wide128"].groups, 2); // 128 + 22-lane tail

@@ -1,14 +1,12 @@
 //! Abstract neuromorphic device descriptions.
 
-use serde::{Deserialize, Serialize};
-
 /// An abstract neuromorphic device: a grid of cores, each hosting a bounded number of
 /// threshold neurons with a bounded fan-in.
 ///
 /// The presets are *-like* models: they use the publicly quoted neuron/core counts of
 /// the systems cited in the paper's introduction, but they are calibration points for
 /// the simulator, not datasheets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Human-readable name.
     pub name: String,

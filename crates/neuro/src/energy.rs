@@ -70,7 +70,7 @@ pub fn energy_over_inputs_compiled(
 }
 
 /// Measures firing-based energy through a serving [`Runtime`]: sweeps route
-/// through auto-tuned wide lane groups sharded across workers, and every
+/// through rule-picked wide lane groups sharded across workers, and every
 /// request's firing count comes back in the runtime's [`tc_runtime::Response`]
 /// telemetry — the energy-sweep path used by the experiment binaries.
 pub fn energy_over_inputs_runtime(

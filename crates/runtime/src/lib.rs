@@ -18,17 +18,19 @@
 //!   packs requests into full lane groups, shards groups across worker
 //!   threads through a bounded work queue, rides the single ragged tail
 //!   through the same path, and returns per-request [`Response`]s (outputs
-//!   plus firing-count energy telemetry, optionally the full evaluation).
+//!   plus firing-count energy telemetry).
 //! * [`StreamSession`] ([`Runtime::open_session`]) — the streaming front
-//!   end both of the above are thin wrappers over: submit rows from any
+//!   end both of the above are thin wrappers over, and the one place
+//!   serving options are set ([`SessionOptions`]: detail level, tenant,
+//!   weight, deadline, admission, faults): submit rows from any
 //!   thread into the bounded queue, consume completed responses
 //!   incrementally (in submission order through a bounded reorder window,
 //!   or out of order with explicit request ids), and recycle response
 //!   payloads through the session's pool, so unbounded streams run at flat
 //!   memory and the warmed-up [`Detail::Outputs`] loop allocates nothing.
 //! * [`TenantId`] — multi-tenant fair scheduling: every submission belongs
-//!   to a tenant (per session via [`SessionOptions`]/[`ServeOptions`], or
-//!   per row via [`StreamSession::submit_for`]), each tenant owns a bounded
+//!   to a tenant (per session via [`SessionOptions`], or per row via
+//!   [`StreamSession::submit_for`]), each tenant owns a bounded
 //!   queue inside the scheduler, and workers drain the queues by
 //!   deficit-weighted round-robin with groups charged at the backend cost
 //!   model's plane-op estimate — a bursty tenant waits out its own backlog
@@ -134,7 +136,7 @@ pub use backend::{
 pub use faults::{FaultKind, FaultPlan};
 pub use metrics::{Histogram, HistogramSnapshot, StageHistograms, StageSnapshot, RELATIVE_ERROR};
 pub use ordered::{LockRank, OrderedMutex, OrderedMutexGuard};
-pub use runtime::{Runtime, RuntimeBuilder, RuntimeOptions, ServeOptions};
+pub use runtime::{Runtime, RuntimeBuilder};
 pub use scheduler::AdmissionPolicy;
 pub use session::{PooledResponse, SessionOptions, StreamSession, SubmitOrNext};
 pub use telemetry::{
@@ -206,7 +208,7 @@ pub enum RuntimeError {
         context: &'static str,
     },
     /// The request was accepted but could not be evaluated before its
-    /// deadline ([`SessionOptions::deadline`] / [`ServeOptions::deadline`]):
+    /// deadline ([`SessionOptions::deadline`]):
     /// the scheduler skipped evaluation at pop time because the cost
     /// model's calibrated per-group estimate no longer fit, and answered
     /// the row with this error through the normal delivery window

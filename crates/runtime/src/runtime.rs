@@ -1,100 +1,17 @@
 //! The serving facade: batch, stream, and session submission against any
 //! compiled circuit, with rule-picked backend choice and scheduler sharding.
 
-use crate::backend::{BackendRegistry, Detail, EvalBackend, Response};
-use crate::scheduler::AdmissionPolicy;
+use crate::backend::{BackendRegistry, EvalBackend, Response};
 use crate::session::{SessionOptions, SessionShared, StreamSession};
 use crate::telemetry::{Telemetry, TelemetrySummary};
 use crate::tuner::{pick_by_rule, TunerPolicy};
-use crate::{Result, TenantId};
+use crate::Result;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
 use tc_circuit::CompiledCircuit;
 
-/// Per-call tunables for the materialising [`Runtime::serve_batch_with`] /
-/// [`Runtime::serve_stream_with`] wrappers: the response [`Detail`] level
-/// plus the tenant tag and scheduling weight the call's requests are
-/// accounted (and queued) under.
+/// Tunables of a [`Runtime`], set through [`RuntimeBuilder`].
 #[derive(Debug, Clone)]
-pub struct ServeOptions {
-    /// How much of each evaluation every response carries.
-    pub detail: Detail,
-    /// The tenant this call's requests belong to (telemetry key and
-    /// scheduler queue identity).
-    pub tenant: TenantId,
-    /// The tenant's scheduling weight (clamped to ≥ 1).
-    pub weight: u32,
-    /// Per-request deadline for this call's rows, measured from
-    /// acceptance: rows whose remaining budget no longer covers the eval
-    /// estimate when a worker reaches them are shed with
-    /// [`crate::RuntimeError::DeadlineExceeded`] (which fails the whole
-    /// materialising call — per-row outcomes need
-    /// [`Runtime::open_session`]). `None` disables the check.
-    pub deadline: Option<Duration>,
-    /// What to do when the call's tenant queue is full at submit time
-    /// (see [`AdmissionPolicy`]); shed rows fail the materialising call
-    /// with [`crate::RuntimeError::Shed`].
-    pub admission: AdmissionPolicy,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            detail: Detail::Outputs,
-            tenant: TenantId::DEFAULT,
-            weight: 1,
-            deadline: None,
-            admission: AdmissionPolicy::Block,
-        }
-    }
-}
-
-impl ServeOptions {
-    /// Sets the [`Detail`] level of every response.
-    pub fn detail(mut self, detail: Detail) -> Self {
-        self.detail = detail;
-        self
-    }
-
-    /// Tags the call's requests with `tenant`.
-    pub fn tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = tenant;
-        self
-    }
-
-    /// Sets the tenant's scheduling weight (clamped to ≥ 1).
-    pub fn weight(mut self, weight: u32) -> Self {
-        self.weight = weight.max(1);
-        self
-    }
-
-    /// Sets the per-request deadline (see [`ServeOptions::deadline`]).
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the full-queue admission policy (see
-    /// [`ServeOptions::admission`]).
-    pub fn admission(mut self, admission: AdmissionPolicy) -> Self {
-        self.admission = admission;
-        self
-    }
-
-    fn session_options(&self) -> SessionOptions {
-        let mut opts = SessionOptions::default()
-            .detail(self.detail)
-            .tenant(self.tenant)
-            .weight(self.weight)
-            .admission(self.admission);
-        opts.deadline = self.deadline;
-        opts
-    }
-}
-
-/// Tunables of a [`Runtime`].
-#[derive(Debug, Clone)]
-pub struct RuntimeOptions {
+pub(crate) struct RuntimeOptions {
     /// Worker threads sharding lane groups (0 = one per available core).
     pub workers: usize,
     /// Maximum lane groups in flight in the bounded work queue.
@@ -315,60 +232,20 @@ impl Runtime {
     /// Serves a batch of requests, returning one [`Response`] per request in
     /// submission order. Any batch size is accepted — requests are packed
     /// into full lane groups with a single ragged tail.
+    ///
+    /// A thin wrapper over [`Runtime::open_session`] with the default
+    /// [`SessionOptions`] ([`crate::Detail::Outputs`], the default tenant) sized by
+    /// the batch length; open a session directly for any other option.
     pub fn serve_batch<R: AsRef<[bool]> + Sync>(
         &self,
         circuit: &CompiledCircuit,
         rows: &[R],
     ) -> Result<Vec<Response>> {
-        self.serve_batch_detailed(circuit, rows, Detail::Outputs)
-    }
-
-    /// Like [`Runtime::serve_batch`] with an explicit [`Detail`] level.
-    pub fn serve_batch_detailed<R: AsRef<[bool]> + Sync>(
-        &self,
-        circuit: &CompiledCircuit,
-        rows: &[R],
-        detail: Detail,
-    ) -> Result<Vec<Response>> {
-        self.serve_batch_with(circuit, rows, ServeOptions::default().detail(detail))
-    }
-
-    /// Like [`Runtime::serve_batch`] with explicit [`ServeOptions`]: the
-    /// batch's requests are queued and accounted under the options' tenant,
-    /// at its scheduling weight.
-    ///
-    /// A thin wrapper over [`Runtime::open_session`]: rows are submitted
-    /// through a session sized by the batch length and the materialised
-    /// responses are collected in submission order.
-    // Options structs are taken by value on purpose: callers build them
-    // inline (`ServeOptions::new().deadline(..)`) and never reuse them.
-    #[allow(clippy::needless_pass_by_value)]
-    pub fn serve_batch_with<R: AsRef<[bool]> + Sync>(
-        &self,
-        circuit: &CompiledCircuit,
-        rows: &[R],
-        serve: ServeOptions,
-    ) -> Result<Vec<Response>> {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
-        let opts = serve.session_options().batch_hint(rows.len());
-        self.open_session(circuit, opts, |session| {
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                session.submit_draining(row.as_ref(), &mut out)?;
-            }
-            session.finish();
-            while let Some(resp) = session.next_response()? {
-                // A materialising wrapper has no way to hand back per-row
-                // errors, so the first shed/expired row fails the batch.
-                if let Some(err) = resp.error() {
-                    return Err(err.clone());
-                }
-                out.push(resp.into_response());
-            }
-            Ok(out)
-        })
+        let opts = SessionOptions::default().batch_hint(rows.len());
+        self.serve_materialised(circuit, opts, rows.len(), rows)
     }
 
     /// Serves an unbounded request stream: rows are packed into full lane
@@ -376,59 +253,39 @@ impl Runtime {
     /// *input* side is never buffered beyond `queue_capacity` groups (plus
     /// the ones workers hold). The returned responses are fully
     /// materialised, in submission order — memory still grows with the
-    /// response count (outputs and firing count per request, plus the full
-    /// evaluation under [`Detail::Full`]), so size long-running streams
-    /// accordingly, or use [`Runtime::open_session`] directly to consume
-    /// responses incrementally at flat memory.
+    /// response count (outputs and firing count per request), so size
+    /// long-running streams accordingly, or use [`Runtime::open_session`]
+    /// directly to consume responses incrementally at flat memory.
+    ///
+    /// The calling thread drives submission and drains completed responses
+    /// whenever the queue pushes back. The backend is picked lazily on the
+    /// first packed row.
     pub fn serve_stream<I>(&self, circuit: &CompiledCircuit, requests: I) -> Result<Vec<Response>>
     where
         I: IntoIterator<Item = Vec<bool>>,
     {
-        self.serve_stream_detailed(circuit, requests, Detail::Outputs)
+        self.serve_materialised(circuit, SessionOptions::default(), 0, requests)
     }
 
-    /// Like [`Runtime::serve_stream`] with an explicit [`Detail`] level.
-    pub fn serve_stream_detailed<I>(
+    /// The body of [`Runtime::serve_batch`] and [`Runtime::serve_stream`]:
+    /// submits every row through one session and collects the responses in
+    /// submission order.
+    fn serve_materialised<R: AsRef<[bool]>>(
         &self,
         circuit: &CompiledCircuit,
-        requests: I,
-        detail: Detail,
-    ) -> Result<Vec<Response>>
-    where
-        I: IntoIterator<Item = Vec<bool>>,
-    {
-        self.serve_stream_with(circuit, requests, ServeOptions::default().detail(detail))
-    }
-
-    /// Like [`Runtime::serve_stream`] with explicit [`ServeOptions`]: the
-    /// stream's requests are queued and accounted under the options'
-    /// tenant, at its scheduling weight.
-    ///
-    /// A thin wrapper over [`Runtime::open_session`]: the calling thread
-    /// drives submission and drains completed responses whenever the queue
-    /// pushes back, so the input side stays bounded even though the result
-    /// is materialised. The backend is picked lazily on the first packed
-    /// row.
-    // By-value `serve` for the same reason as `serve_batch_with` above.
-    #[allow(clippy::needless_pass_by_value)]
-    pub fn serve_stream_with<I>(
-        &self,
-        circuit: &CompiledCircuit,
-        requests: I,
-        serve: ServeOptions,
-    ) -> Result<Vec<Response>>
-    where
-        I: IntoIterator<Item = Vec<bool>>,
-    {
-        let opts = serve.session_options();
+        opts: SessionOptions,
+        capacity: usize,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Result<Vec<Response>> {
         self.open_session(circuit, opts, |session| {
-            let mut out = Vec::new();
-            for row in requests {
-                session.submit_draining(&row, &mut out)?;
+            let mut out = Vec::with_capacity(capacity);
+            for row in rows {
+                session.submit_draining(row.as_ref(), &mut out)?;
             }
             session.finish();
             while let Some(resp) = session.next_response()? {
-                // Same per-row-error contract as `serve_batch_with`.
+                // A materialising call has no way to hand back per-row
+                // errors, so the first shed/expired row fails the call.
                 if let Some(err) = resp.error() {
                     return Err(err.clone());
                 }
@@ -520,6 +377,7 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Detail;
     use tc_circuit::{CircuitBuilder, CircuitError, Wire};
 
     /// 3-input full adder compiled once.
@@ -717,9 +575,19 @@ mod tests {
         let cc = adder();
         let runtime = Runtime::builder().fixed_backend("wide256").build();
         let requests = rows(70);
-        let responses = runtime
-            .serve_batch_detailed(&cc, &requests, Detail::Full)
-            .unwrap();
+        let full = SessionOptions::default().detail(Detail::Full);
+        let responses = runtime.open_session(&cc, full, |session| {
+            let mut out = Vec::new();
+            for row in &requests {
+                session.submit_draining(row, &mut out).unwrap();
+            }
+            session.finish();
+            while let Some(resp) = session.next_response().unwrap() {
+                out.push(resp.into_response());
+            }
+            out
+        });
+        assert_eq!(responses.len(), requests.len());
         for (row, response) in requests.iter().zip(&responses) {
             assert_eq!(
                 response.evaluation.as_ref().unwrap(),

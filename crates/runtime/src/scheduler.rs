@@ -48,8 +48,7 @@ use std::sync::Condvar;
 use std::time::Instant;
 
 /// What happens when a submission arrives while its tenant's bounded queue
-/// is already full ([`crate::SessionOptions::admission`] /
-/// [`crate::ServeOptions::admission`]).
+/// is already full ([`crate::SessionOptions::admission`]).
 ///
 /// Shedding never drops a row silently: a shed group is answered with
 /// [`RuntimeError::Shed`] through the normal delivery window, in its claimed

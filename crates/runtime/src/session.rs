@@ -73,7 +73,7 @@ pub struct SessionOptions {
     /// Expected total request count, if known (`0` for a genuinely
     /// unbounded stream). Used to pick the backend's tuning bucket and to
     /// bound the worker count for small batches; falls back to
-    /// [`crate::RuntimeOptions::stream_batch_hint`].
+    /// [`crate::RuntimeBuilder::stream_batch_hint`].
     pub batch_hint: usize,
     /// The tenant un-tagged [`StreamSession::submit`] calls belong to.
     pub tenant: TenantId,
@@ -925,47 +925,69 @@ impl<'a> SessionShared<'a> {
                 continue;
             }
             let outcome = self.eval_group_failover(&group, &mut arena, &mut refs, &stages, seq);
-            match outcome {
-                Ok(Ok(responses)) => {
-                    let n = responses.len() as u64;
-                    self.trace(group.tenant, seq, TraceEventKind::Evaluated, n);
-                    let RowGroup {
-                        tenant,
-                        rows,
-                        ids,
-                        times,
-                        ..
-                    } = group;
-                    self.recycle_rows(rows);
-                    let done = DoneGroup {
-                        tenant,
-                        ids,
-                        times,
-                        responses,
-                        done_at: Instant::now(),
-                        stages,
-                        error: None,
-                    };
-                    if !self.engine.deliver(slot, seq, done, true) {
-                        return;
-                    }
-                    self.trace(tenant, seq, TraceEventKind::Delivered, n);
-                }
-                Ok(Err(e)) => {
-                    self.recycle_rows(group.rows);
-                    self.recycle_ids(group.ids);
-                    self.recycle_times(group.times);
-                    self.abort_session(e);
-                    return;
-                }
-                Err(_panic) => {
-                    // The group's buffers may be in any state; let them drop
-                    // rather than recycling half-written storage.
-                    self.abort_session(RuntimeError::SessionPanicked { context: "worker" });
-                    return;
-                }
+            if !matches!(
+                self.complete_group(slot, seq, group, stages, outcome, true),
+                Ok(true)
+            ) {
+                return;
             }
         }
+    }
+
+    /// Finishes one evaluated group for both dispatch paths. On success the
+    /// group's rows are recycled and its responses delivered; `Ok(false)`
+    /// means the engine aborted while waiting and refused the delivery. A
+    /// typed failure or a panic that survived the scalar failover aborts
+    /// the session and is returned. `queued` is `deliver`'s flag: popped by
+    /// a worker (`true`) or evaluated inline by the submitter (`false`).
+    fn complete_group(
+        &self,
+        slot: usize,
+        seq: u64,
+        group: RowGroup,
+        stages: Arc<StageHistograms>,
+        outcome: std::thread::Result<Result<Vec<Response>>>,
+        queued: bool,
+    ) -> Result<bool> {
+        let err = match outcome {
+            Ok(Ok(responses)) => {
+                let n = responses.len() as u64;
+                self.trace(group.tenant, seq, TraceEventKind::Evaluated, n);
+                let RowGroup {
+                    tenant,
+                    rows,
+                    ids,
+                    times,
+                    ..
+                } = group;
+                self.recycle_rows(rows);
+                let done = DoneGroup {
+                    tenant,
+                    ids,
+                    times,
+                    responses,
+                    done_at: Instant::now(),
+                    stages,
+                    error: None,
+                };
+                if !self.engine.deliver(slot, seq, done, queued) {
+                    return Ok(false);
+                }
+                self.trace(tenant, seq, TraceEventKind::Delivered, n);
+                return Ok(true);
+            }
+            Ok(Err(e)) => {
+                self.recycle_rows(group.rows);
+                self.recycle_ids(group.ids);
+                self.recycle_times(group.times);
+                e
+            }
+            // The group's buffers may be in any state; let them drop rather
+            // than recycling half-written storage.
+            Err(_panic) => RuntimeError::SessionPanicked { context: "worker" },
+        };
+        self.abort_session(err.clone());
+        Err(err)
     }
 
     /// Inline-mode dispatch: evaluate on the submitting thread and deliver.
@@ -985,51 +1007,10 @@ impl<'a> SessionShared<'a> {
         }
         let mut scratch = lock_tolerant(&self.inline_scratch);
         let InlineScratch { arena, refs } = &mut *scratch;
-        match self.eval_group_failover(&group, arena, refs, &stages, seq) {
-            Ok(Ok(responses)) => {
-                let n = responses.len() as u64;
-                self.trace(group.tenant, seq, TraceEventKind::Evaluated, n);
-                let RowGroup {
-                    tenant,
-                    rows,
-                    ids,
-                    times,
-                    ..
-                } = group;
-                self.recycle_rows(rows);
-                drop(scratch);
-                self.engine.deliver(
-                    slot,
-                    seq,
-                    DoneGroup {
-                        tenant,
-                        ids,
-                        times,
-                        responses,
-                        done_at: Instant::now(),
-                        stages,
-                        error: None,
-                    },
-                    false,
-                );
-                self.trace(tenant, seq, TraceEventKind::Delivered, n);
-                Ok(())
-            }
-            Ok(Err(e)) => {
-                self.recycle_rows(group.rows);
-                self.recycle_ids(group.ids);
-                self.recycle_times(group.times);
-                self.abort_session(e.clone());
-                Err(e)
-            }
-            Err(_panic) => {
-                // The group's buffers may be in any state; drop them rather
-                // than recycling half-written storage.
-                let e = RuntimeError::SessionPanicked { context: "worker" };
-                self.abort_session(e.clone());
-                Err(e)
-            }
-        }
+        let outcome = self.eval_group_failover(&group, arena, refs, &stages, seq);
+        drop(scratch);
+        self.complete_group(slot, seq, group, stages, outcome, false)
+            .map(drop)
     }
 
     // ---- consumption ------------------------------------------------------

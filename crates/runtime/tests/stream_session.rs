@@ -542,9 +542,28 @@ fn tenants_get_tagged_per_tenant_ordered_responses() {
 
 #[test]
 fn serve_wrappers_account_their_tenant() {
-    // The materialising wrappers tag a whole call with one tenant through
-    // ServeOptions, and responses stay byte-identical to the untagged path.
-    use tc_runtime::{ServeOptions, TenantId};
+    // A session's options tag every un-tagged row with one tenant at its
+    // default weight, and responses stay byte-identical to the untagged
+    // `serve_batch` path.
+    use tc_runtime::TenantId;
+    fn serve_as(
+        runtime: &Runtime,
+        cc: &CompiledCircuit,
+        reqs: &[Vec<bool>],
+        opts: SessionOptions,
+    ) -> Vec<Response> {
+        runtime.open_session(cc, opts, |session| {
+            let mut out = Vec::new();
+            for row in reqs {
+                session.submit_draining(row, &mut out).unwrap();
+            }
+            session.finish();
+            while let Some(resp) = session.next_response().unwrap() {
+                out.push(resp.into_response());
+            }
+            out
+        })
+    }
     let cc = adder();
     let reqs = rows(200);
     let runtime = Runtime::builder()
@@ -552,21 +571,19 @@ fn serve_wrappers_account_their_tenant() {
         .workers(2)
         .build();
     let plain = runtime.serve_batch(&cc, &reqs).unwrap();
-    let tagged = runtime
-        .serve_batch_with(
-            &cc,
-            &reqs,
-            ServeOptions::default().tenant(TenantId(7)).weight(4),
-        )
-        .unwrap();
+    let tagged = serve_as(
+        &runtime,
+        &cc,
+        &reqs,
+        SessionOptions::default().tenant(TenantId(7)).weight(4),
+    );
     assert_eq!(plain, tagged);
-    let streamed = runtime
-        .serve_stream_with(
-            &cc,
-            reqs.iter().cloned(),
-            ServeOptions::default().tenant(TenantId(8)),
-        )
-        .unwrap();
+    let streamed = serve_as(
+        &runtime,
+        &cc,
+        &reqs,
+        SessionOptions::default().tenant(TenantId(8)),
+    );
     assert_eq!(plain, streamed);
     let summary = runtime.telemetry();
     assert_eq!(summary.per_tenant[&TenantId(0)].requests, 200);
@@ -678,50 +695,59 @@ impl tc_runtime::EvalBackend for PanickingBackend {
 #[test]
 fn a_panicking_backend_fails_over_to_scalar_without_aborting() {
     // Robustness: a worker whose backend panics mid-evaluation used to
-    // abort the whole session. The worker loop now catches the panic and
-    // retries the group once on the always-safe scalar fallback, so every
-    // accepted row is still answered and the stream completes.
+    // abort the whole session. Both dispatch paths (worker threads, and
+    // the inline path one worker runs on the submitter) now catch the
+    // panic and retry the group once on the always-safe scalar fallback,
+    // so every accepted row is still answered and the stream completes.
     let cc = adder();
-    let runtime = Runtime::builder()
-        .register(Box::new(PanickingBackend("panicker")))
-        .fixed_backend("panicker")
-        .workers(2)
-        .build();
-    let served = runtime.open_session(&cc, SessionOptions::default(), |session| {
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..10_000usize {
-                    // Row 100 trips the backend panic in its lane group.
-                    let row = if i == 100 {
-                        vec![true, true, true]
-                    } else {
-                        vec![i % 2 == 0, false, true]
-                    };
-                    session.submit(&row).unwrap();
+    for workers in [1, 2] {
+        let runtime = Runtime::builder()
+            .register(Box::new(PanickingBackend("panicker")))
+            .fixed_backend("panicker")
+            .workers(workers)
+            .build();
+        let served = runtime.open_session(&cc, SessionOptions::default(), |session| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for i in 0..10_000usize {
+                        // Row 100 trips the backend panic in its lane group.
+                        let row = if i == 100 {
+                            vec![true, true, true]
+                        } else {
+                            vec![i % 2 == 0, false, true]
+                        };
+                        session.submit(&row).unwrap();
+                    }
+                    session.finish();
+                });
+                let mut served = 0u64;
+                for resp in session.responses() {
+                    let resp = resp.unwrap();
+                    // Spot-check the faulted row survived with correct outputs.
+                    if resp.request_id() == 100 {
+                        let expect = cc.evaluate(&[true, true, true]).unwrap();
+                        assert_eq!(resp.outputs, expect.outputs());
+                    }
+                    served += 1;
                 }
-                session.finish();
-            });
-            let mut served = 0u64;
-            for resp in session.responses() {
-                let resp = resp.unwrap();
-                // Spot-check the faulted row survived with correct outputs.
-                if resp.request_id() == 100 {
-                    let expect = cc.evaluate(&[true, true, true]).unwrap();
-                    assert_eq!(resp.outputs, expect.outputs());
-                }
-                served += 1;
-            }
-            served
-        })
-    });
-    assert_eq!(served, 10_000, "every accepted row must be answered");
-    let summary = runtime.telemetry();
-    assert!(
-        summary.retries >= 16,
-        "the panicked group's rows must be counted as retries, got {}",
-        summary.retries
-    );
-    assert!(summary.quarantines >= 1, "panicking backend quarantined");
+                served
+            })
+        });
+        assert_eq!(
+            served, 10_000,
+            "every accepted row must be answered ({workers} workers)"
+        );
+        let summary = runtime.telemetry();
+        assert!(
+            summary.retries >= 16,
+            "the panicked group's rows must be counted as retries, got {} ({workers} workers)",
+            summary.retries
+        );
+        assert!(
+            summary.quarantines >= 1,
+            "panicking backend quarantined ({workers} workers)"
+        );
+    }
 }
 
 #[test]
@@ -730,43 +756,60 @@ fn a_panicking_scalar_shadow_still_surfaces_the_typed_error() {
     // same panicking bug), the retry panics too and the session must abort
     // with the typed `SessionPanicked` — both the consumer and blocked
     // submitters observe it through the normal error channel, never a
-    // wedge or an opaque PoisonError.
+    // wedge or an opaque PoisonError. With one worker the group runs
+    // inline on the submitter, whose `submit` returns the error itself.
     let cc = adder();
-    let runtime = Runtime::builder()
-        .register(Box::new(PanickingBackend("panicker")))
-        .register(Box::new(PanickingBackend("scalar")))
-        .fixed_backend("panicker")
-        .workers(2)
-        .build();
-    let err = runtime.open_session(&cc, SessionOptions::default(), |session| {
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..10_000usize {
-                    let row = if i == 100 {
-                        vec![true, true, true]
-                    } else {
-                        vec![i % 2 == 0, false, true]
-                    };
-                    if session.submit(&row).is_err() {
-                        break;
+    let panicked = RuntimeError::SessionPanicked { context: "worker" };
+    for workers in [1, 2] {
+        let runtime = Runtime::builder()
+            .register(Box::new(PanickingBackend("panicker")))
+            .register(Box::new(PanickingBackend("scalar")))
+            .fixed_backend("panicker")
+            .workers(workers)
+            .build();
+        let (submit_err, err) = runtime.open_session(&cc, SessionOptions::default(), |session| {
+            std::thread::scope(|s| {
+                let producer = s.spawn(|| {
+                    let mut submit_err = None;
+                    for i in 0..10_000usize {
+                        let row = if i == 100 {
+                            vec![true, true, true]
+                        } else {
+                            vec![i % 2 == 0, false, true]
+                        };
+                        if let Err(e) = session.submit(&row) {
+                            submit_err = Some((i, e));
+                            break;
+                        }
                     }
-                }
-                session.finish();
-            });
-            loop {
-                match session.next_response() {
-                    Ok(Some(_)) => {}
-                    Ok(None) => panic!("stream ended without surfacing the panic"),
-                    Err(e) => break e,
-                }
-            }
-        })
-    });
-    assert_eq!(
-        err,
-        RuntimeError::SessionPanicked { context: "worker" },
-        "the consumer must see the typed worker-panic error"
-    );
+                    session.finish();
+                    submit_err
+                });
+                let err = loop {
+                    match session.next_response() {
+                        Ok(Some(_)) => {}
+                        Ok(None) => panic!("stream ended without surfacing the panic"),
+                        Err(e) => break e,
+                    }
+                };
+                (producer.join().unwrap(), err)
+            })
+        });
+        assert_eq!(
+            err, panicked,
+            "the consumer must see the typed worker-panic error ({workers} workers)"
+        );
+        if workers == 1 {
+            // Row 112 is the first that does not fit row 100's full
+            // 16-lane group, so its submit dispatches that group inline and
+            // must return the error itself, not leave it to a later call.
+            assert_eq!(
+                submit_err,
+                Some((112, panicked.clone())),
+                "the inline submitter must get the typed worker-panic error"
+            );
+        }
+    }
 }
 
 #[test]

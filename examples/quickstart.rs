@@ -98,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 4. Compile once, evaluate many: batched serving ----------------------------
     // Every circuit above is already lowered to its compiled CSR form; the batched
-    // entry point pushes independent queries through bit-sliced lane groups.
+    // entry point pushes independent queries through a runtime's bit-sliced lane groups.
     let pairs: Vec<_> = (0..64)
         .map(|s| {
             (
@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         })
         .collect();
-    let products = mm.evaluate_many(&pairs)?;
+    let products = mm.evaluate_many_with(&Runtime::new(), &pairs)?;
     for ((a, b), c) in pairs.iter().zip(&products) {
         assert_eq!(c, &a.multiply_naive(b)?);
     }

@@ -14,7 +14,7 @@
 //!   partitioning);
 //! * [`convnet`] — convolution-as-matmul workloads (im2col);
 //! * [`runtime`] — the pluggable multi-backend serving runtime (wide bit-sliced
-//!   lanes, streaming batch scheduler, auto-tuned backend choice).
+//!   lanes, streaming batch scheduler, rule-picked backend choice).
 //!
 //! See `examples/` for runnable end-to-end scenarios, and the `expt_e*` binaries of
 //! the `tcmm-bench` crate (listed in the README) for the reproduction of the paper's

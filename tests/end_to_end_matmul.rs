@@ -4,6 +4,7 @@
 
 use tcmm::core::{matmul::MatmulCircuit, naive::NaiveMatmulCircuit, CircuitConfig};
 use tcmm::fastmm::{random_matrix, recursive::multiply_recursive, BilinearAlgorithm, Matrix};
+use tcmm::runtime::Runtime;
 
 fn reference(a: &Matrix, b: &Matrix) -> Matrix {
     a.multiply_naive(b).unwrap()
@@ -145,7 +146,9 @@ fn parallel_and_sequential_evaluation_agree_end_to_end() {
     let mm = MatmulCircuit::theorem_4_9(&config, 4, 2).unwrap();
     let a = random_matrix(4, 5, 71);
     let b = random_matrix(4, 5, 72);
-    let batched = mm.evaluate_many(&[(a.clone(), b.clone())]).unwrap();
+    let batched = mm
+        .evaluate_many_with(&Runtime::new(), &[(a.clone(), b.clone())])
+        .unwrap();
     assert_eq!(batched, vec![mm.evaluate(&a, &b).unwrap()]);
 }
 
