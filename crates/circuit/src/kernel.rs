@@ -72,13 +72,10 @@ pub(crate) fn word_mask(lanes: usize, word: usize) -> u64 {
 /// all `W` word-columns advance together, looping while *any* still
 /// carries (word-columns whose carry already died see no-op lane ops, so
 /// the result is bit-identical to per-word ripple); amortised O(1) planes
-/// touched per call.
+/// touched per call. Serves both the sum planes and the firing counter
+/// (whose carry arrives already masked to valid lanes).
 #[inline(always)]
-fn ripple_add<const W: usize, V: WordVec<W>>(
-    planes: &mut [[u64; W]; 64],
-    mut i: usize,
-    mut carry: V,
-) {
+fn ripple_add<const W: usize, V: WordVec<W>>(planes: &mut [[u64; W]], mut i: usize, mut carry: V) {
     while carry.any() {
         let a = V::load(&planes[i]);
         a.xor(carry).store(&mut planes[i]);
@@ -115,22 +112,6 @@ fn fired_planes<const W: usize, V: WordVec<W>>(
         carry2 = s1.maj(tb, carry2);
     }
     sign.not()
-}
-
-/// Ripple-adds `carry` (already masked to valid lanes) into the bit-sliced
-/// firing counter from plane `i` up.
-#[inline(always)]
-fn count_firing<const W: usize, V: WordVec<W>>(
-    firing: &mut [[u64; W]],
-    mut i: usize,
-    mut carry: V,
-) {
-    while carry.any() {
-        let a = V::load(&firing[i]);
-        a.xor(carry).store(&mut firing[i]);
-        carry = carry.and(a);
-        i += 1;
-    }
 }
 
 /// Reinterprets `&mut [[u64; A]]` as `&mut [[u64; B]]` once a width match
@@ -355,7 +336,7 @@ impl CompiledCircuit {
                     for g in lo..hi {
                         let fired = V::load(&self.fire_wide_lanes(g, vals, lanes));
                         fired.store(&mut vals[gate_base + g]);
-                        count_firing(firing, 0, fired.and(wmask));
+                        ripple_add(firing, 0, fired.and(wmask));
                     }
                     lo = hi;
                     continue;
@@ -374,7 +355,7 @@ impl CompiledCircuit {
                         for g in lo..hi {
                             let fired = fired_planes::<W, V>(&pos, &neg, p, self.thresholds[g]);
                             fired.store(&mut vals[gate_base + g]);
-                            count_firing(firing, 0, fired.and(wmask));
+                            ripple_add(firing, 0, fired.and(wmask));
                         }
                     }
                     k => {
@@ -488,7 +469,7 @@ impl CompiledCircuit {
                 f.xor3(c, carry).store(&mut firing[i]);
                 carry = f.maj(c, carry);
             }
-            count_firing(firing, width, carry);
+            ripple_add(firing, width, carry);
         }
     }
 

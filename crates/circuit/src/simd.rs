@@ -5,7 +5,7 @@
 //! as an independent 64-lane instance — carries never cross words — so the
 //! `W` words of one plane are exactly the lanes of one vector register:
 //! 128-bit SSE2/NEON for `W = 2`, 256-bit AVX2 for `W = 4`, 512-bit AVX-512
-//! (or an AVX2 pair) for `W = 8`. This module provides the [`WordVec`]
+//! (or an AVX2 pair) for `W = 8`. This module provides the `WordVec`
 //! abstraction the kernel is generic over, the per-ISA implementations, and
 //! the dispatch policy ([`active_level`]).
 //!

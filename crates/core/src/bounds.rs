@@ -30,7 +30,7 @@
 //! * **Matmul circuit** (Theorems 4.8/4.9, Section 4.4): depth exactly
 //!   `4t + 1`; gates at most the two top-down tree phases plus
 //!   `r^l · 4·w_A·w_B` for the Lemma 3.3 leaf products plus the bottom-up
-//!   `T_AB` phase (Lemma 4.6), costed by [`combine_phase_gate_bound`] via a
+//!   `T_AB` phase (Lemma 4.6), costed by `combine_phase_gate_bound` via a
 //!   worst-case weight-multiset recursion over the exact per-block
 //!   contribution lists of the recipe's `W` table.
 //!

@@ -4,7 +4,7 @@
 //! A node of `T_A` at level `h` corresponds to an `N/T^h × N/T^h` matrix that is an
 //! integer-weighted sum of blocks of `A`; its children are obtained by applying the `r`
 //! product expressions `M_i` of the bilinear recipe.  The circuit materialises only the
-//! levels chosen by a [`LevelSchedule`](crate::LevelSchedule): each selected level is
+//! levels chosen by a [`LevelSchedule`]: each selected level is
 //! computed from the previous one with one depth-2 layer of weighted-sum circuits
 //! (Lemma 4.2), and the leaves (level `log_T N`) are the scalars multiplied by the fast
 //! algorithm.

@@ -276,7 +276,7 @@ pub fn random_matrix(n: usize, magnitude: i64, seed: u64) -> Matrix {
     })
 }
 
-/// Generates a random 0/1 matrix (density in [0,1]) from a deterministic stream.
+/// Generates a random 0/1 matrix (density in `[0, 1]`) from a deterministic stream.
 pub fn random_binary_matrix(n: usize, density: f64, seed: u64) -> Matrix {
     let mut state = seed | 1;
     let threshold = (density.clamp(0.0, 1.0) * u32::MAX as f64) as u64;

@@ -88,8 +88,9 @@ pub struct BackendCaps {
 /// `rows.len()`** responses, one per request in order, overwriting every
 /// shell field (start with [`shape_response_shells`]); the scheduler
 /// treats any other length as a contract violation. Bit-sliced backends
-/// writing through [`ArenaEvaluation::outputs_into`] /
-/// [`ArenaEvaluation::evaluation_into`](tc_circuit::ArenaEvaluation) keep
+/// writing through
+/// [`ArenaEvaluation::outputs_into`](tc_circuit::ArenaEvaluation::outputs_into) /
+/// [`ArenaEvaluation::evaluation_into`](tc_circuit::ArenaEvaluation::evaluation_into) keep
 /// the warmed-up `Detail::Outputs` serve loop allocation-free.
 ///
 /// Under [`Detail::Full`] every returned [`Response`] **must** populate
@@ -101,9 +102,9 @@ pub trait EvalBackend: Send + Sync {
     fn caps(&self) -> BackendCaps;
 
     /// A relative prior for serving `batch` requests against `circuit`, in
-    /// arbitrary work units. The default rule ([`crate::TunerPolicy::Rule`])
-    /// uses it for the scalar-vs-sliced choice: a per-request backend is
-    /// picked only where its cost is below the bit-sliced pick's.
+    /// arbitrary work units. The runtime's lane-width rule uses it for the
+    /// scalar-vs-sliced choice: a per-request backend is picked only where
+    /// its cost is below the bit-sliced pick's.
     fn cost_model(&self, circuit: &CompiledCircuit, batch: usize) -> f64;
 
     /// Evaluates one lane group (`rows.len() <= caps().lane_group`) into
@@ -248,7 +249,7 @@ impl<const W: usize> EvalBackend for WideBackend<W> {
 }
 
 /// An ordered collection of registered backends.
-pub struct BackendRegistry {
+pub(crate) struct BackendRegistry {
     backends: Vec<Box<dyn EvalBackend>>,
 }
 
@@ -304,12 +305,6 @@ impl BackendRegistry {
             .ok_or_else(|| RuntimeError::UnknownBackend {
                 name: name.to_string(),
             })
-    }
-}
-
-impl Default for BackendRegistry {
-    fn default() -> Self {
-        BackendRegistry::standard()
     }
 }
 

@@ -29,26 +29,15 @@
 //! 1. programmatically, via [`FaultPlan::new`] + [`FaultPlan::inject`] on
 //!    [`crate::SessionOptions::faults`];
 //! 2. the `TCMM_FAULTS` environment variable, parsed by
-//!    [`FaultPlan::from_env`] with the grammar
-//!    `clause(';' clause)*` where `clause = kind[:param]'@'key=val(,key=val)*`:
-//!
-//!    ```text
-//!    TCMM_FAULTS="panic@every=7,offset=3;error@every=5;slow:200@every=16;queue_full@every=4,limit=2"
-//!    ```
-//!
-//!    Kinds are `panic`, `error`, `slow:<micros>`, and `queue_full`; keys
-//!    are `every` (default 1 = every opportunity), `offset` (default 0),
-//!    and `limit` (default unlimited). Malformed clauses are skipped, and a
-//!    value of `off`, `0`, or empty disables injection entirely — a typo in
-//!    an env var must degrade to "no faults", never to a crash.
+//!    [`FaultPlan::from_env`] (the grammar is documented there).
 
 use crate::RuntimeError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One injectable fault shape (see the [module docs](self) for where each
-/// one lands in the dispatch/eval paths).
+/// One injectable fault shape; each variant says where it lands in the
+/// dispatch/eval paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The evaluating thread panics before evaluating a group.
@@ -146,9 +135,18 @@ impl FaultPlan {
             .sum()
     }
 
-    /// Parses `TCMM_FAULTS` (grammar in the [module docs](self)). `None`
-    /// when unset, empty, `off`, `0`, or nothing parses — malformed input
-    /// degrades to "no faults".
+    /// Parses `TCMM_FAULTS`, whose grammar is `clause(';' clause)*` where
+    /// `clause = kind[:param]'@'key=val(,key=val)*`:
+    ///
+    /// ```text
+    /// TCMM_FAULTS="panic@every=7,offset=3;error@every=5;slow:200@every=16;queue_full@every=4,limit=2"
+    /// ```
+    ///
+    /// Kinds are `panic`, `error`, `slow:<micros>`, and `queue_full`; keys
+    /// are `every` (default 1 = every opportunity), `offset` (default 0),
+    /// and `limit` (default unlimited). Malformed clauses are skipped.
+    /// Returns `None` when unset, empty, `off`, `0`, or nothing parses — a
+    /// typo in an env var must degrade to "no faults", never to a crash.
     pub fn from_env() -> Option<Arc<FaultPlan>> {
         let spec = std::env::var("TCMM_FAULTS").ok()?;
         Self::parse(&spec).map(Arc::new)

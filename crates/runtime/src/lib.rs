@@ -9,9 +9,9 @@
 //!
 //! * [`EvalBackend`] — the pluggable execution interface: capabilities (lane
 //!   group width), a relative cost model, and a group-evaluation entry
-//!   point. [`BackendRegistry::standard`] registers the scalar, 64-lane, and
+//!   point. Every runtime starts with the scalar, 64-lane, and
 //!   128/256/512-lane backends; custom backends can be registered alongside
-//!   them.
+//!   them ([`RuntimeBuilder::register`]).
 //! * [`Runtime`] — the facade: submit arbitrary-size request batches
 //!   ([`Runtime::serve_batch`]) or an unbounded request iterator
 //!   ([`Runtime::serve_stream`]) against any compiled circuit. The runtime
@@ -35,14 +35,15 @@
 //!   deficit-weighted round-robin with groups charged at the backend cost
 //!   model's plane-op estimate — a bursty tenant waits out its own backlog
 //!   instead of starving everyone queued behind it.
-//! * [`TunerPolicy`] — picks the backend per (circuit, batch size) by a
-//!   lane-width rule: the smallest bit-sliced group covering
+//! * Backend choice — the runtime picks the backend per (circuit, batch
+//!   size) by a lane-width rule: the smallest bit-sliced group covering
 //!   `min(batch, widest SIMD-vectorized group)`, or `scalar` where its cost
-//!   model is lower. No probe runs and nothing is cached; `Fixed(name)`
-//!   pins one backend instead.
+//!   model is lower. No probe runs and nothing is cached;
+//!   [`RuntimeBuilder::fixed_backend`] pins one backend instead.
 //! * [`Telemetry`] — lock-light counters: requests, groups, padded lanes,
 //!   gate-evaluations, firings (Uchizawa–Douglas–Maass energy), busy time,
-//!   per-backend tallies, and per-tenant queue-wait gauges with a
+//!   one ledger per backend (tallies and eval latency) and per tenant
+//!   (queue-wait gauges and stage latencies) with a
 //!   max-queue-wait-ratio fairness metric.
 //!
 //! One [`Runtime`] instance is circuit-agnostic and thread-safe, so a single
@@ -65,16 +66,14 @@
 //! | 50 | `ENGINE_STATE` | scheduler queues/lanes/ring (`scheduler.rs`) | — (leaf) |
 //! | 60 | `STAGE_SETS` | per-stage histogram registry (`session.rs`) | — (leaf) |
 //! | 70 | `RESPONSE_POOL` | response recycling pool (`session.rs`) | — (leaf) |
-//! | 80 | `TELEMETRY_BACKEND` | per-backend counters (`telemetry.rs`) | — (leaf) |
-//! | 81 | `TELEMETRY_TENANT` | per-tenant counters (`telemetry.rs`) | — (leaf) |
-//! | 82 | `TELEMETRY_TENANT_STAGES` | per-tenant stage histograms (`telemetry.rs`) | — (leaf) |
-//! | 83 | `TELEMETRY_BACKEND_EVAL` | per-backend eval histograms (`telemetry.rs`) | — (leaf) |
+//! | 80 | `TELEMETRY_BACKEND` | per-backend tallies and eval histograms (`telemetry.rs`) | — (leaf) |
+//! | 81 | `TELEMETRY_TENANT` | per-tenant tallies and stage histograms (`telemetry.rs`) | — (leaf) |
 //! | 90 | `TRACE_RING` | flight-recorder ring (`trace.rs`) | — (leaf) |
 //!
 //! `SESSION_PACK` and `SESSION_CONSUME` are never held together today
 //! (`submit_or_next` drains the consume side before packing), but their
 //! relative order is fixed here so a future overlap cannot deadlock.
-//! Telemetry's `snapshot` takes its four maps sequentially, never nested.
+//! Telemetry's `snapshot` takes its two maps sequentially, never nested.
 //! ```
 //! use tc_circuit::{CircuitBuilder, Wire};
 //! use tc_runtime::Runtime;
@@ -130,8 +129,8 @@ mod trace;
 mod tuner;
 
 pub use backend::{
-    shape_response_shells, BackendCaps, BackendRegistry, Detail, EvalBackend, Response,
-    ScalarBackend, Sliced64Backend, WideBackend,
+    shape_response_shells, BackendCaps, Detail, EvalBackend, Response, ScalarBackend,
+    Sliced64Backend, WideBackend,
 };
 pub use faults::{FaultKind, FaultPlan};
 pub use metrics::{Histogram, HistogramSnapshot, StageHistograms, StageSnapshot, RELATIVE_ERROR};
@@ -140,10 +139,8 @@ pub use runtime::{Runtime, RuntimeBuilder};
 pub use scheduler::AdmissionPolicy;
 pub use session::{PooledResponse, SessionOptions, StreamSession, SubmitOrNext};
 pub use telemetry::{
-    BackendTally, Telemetry, TelemetryReporter, TelemetrySummary, TenantTally,
-    TELEMETRY_SCHEMA_VERSION,
+    BackendTally, Telemetry, TelemetrySummary, TenantTally, TELEMETRY_SCHEMA_VERSION,
 };
-pub use tuner::TunerPolicy;
 
 /// Identifies one tenant of the shared runtime — one traffic source whose
 /// groups are queued, scheduled, and accounted separately from every other

@@ -38,14 +38,10 @@ impl LockRank {
     pub const STAGE_SETS: LockRank = LockRank(60);
     /// Response-buffer recycling pool.
     pub const RESPONSE_POOL: LockRank = LockRank(70);
-    /// Telemetry per-backend counters.
+    /// Telemetry per-backend ledger (tallies and eval histograms).
     pub const TELEMETRY_BACKEND: LockRank = LockRank(80);
-    /// Telemetry per-tenant counters.
+    /// Telemetry per-tenant ledger (tallies and stage histograms).
     pub const TELEMETRY_TENANT: LockRank = LockRank(81);
-    /// Telemetry per-tenant stage histograms.
-    pub const TELEMETRY_TENANT_STAGES: LockRank = LockRank(82);
-    /// Telemetry per-backend eval-latency histograms.
-    pub const TELEMETRY_BACKEND_EVAL: LockRank = LockRank(83);
     /// Flight-recorder event ring — the innermost runtime lock.
     pub const TRACE_RING: LockRank = LockRank(90);
 }

@@ -4,7 +4,7 @@
 use crate::backend::{BackendRegistry, EvalBackend, Response};
 use crate::session::{SessionOptions, SessionShared, StreamSession};
 use crate::telemetry::{Telemetry, TelemetrySummary};
-use crate::tuner::{pick_by_rule, TunerPolicy};
+use crate::tuner::pick_by_rule;
 use crate::Result;
 use std::sync::atomic::{AtomicU32, Ordering};
 use tc_circuit::CompiledCircuit;
@@ -16,7 +16,7 @@ pub(crate) struct RuntimeOptions {
     pub workers: usize,
     /// Maximum lane groups in flight in the bounded work queue.
     pub queue_capacity: usize,
-    /// Assumed batch size when tuning for an unbounded stream.
+    /// Assumed batch size when picking the backend for an unbounded stream.
     pub stream_batch_hint: usize,
 }
 
@@ -53,7 +53,7 @@ impl RuntimeOptions {
 pub struct RuntimeBuilder {
     registry: BackendRegistry,
     opts: RuntimeOptions,
-    policy: TunerPolicy,
+    fixed: Option<String>,
 }
 
 impl RuntimeBuilder {
@@ -69,15 +69,9 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Assumed batch size when tuning for unbounded streams.
+    /// Assumed batch size when picking the backend for unbounded streams.
     pub fn stream_batch_hint(mut self, hint: usize) -> Self {
         self.opts.stream_batch_hint = hint.max(1);
-        self
-    }
-
-    /// Replaces the whole backend registry.
-    pub fn registry(mut self, registry: BackendRegistry) -> Self {
-        self.registry = registry;
         self
     }
 
@@ -87,15 +81,12 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets the backend-selection policy.
-    pub fn policy(mut self, policy: TunerPolicy) -> Self {
-        self.policy = policy;
+    /// Always serves on the backend named `name` instead of the lane-width
+    /// rule; an unknown name fails every submission with
+    /// [`crate::RuntimeError::UnknownBackend`].
+    pub fn fixed_backend(mut self, name: &str) -> Self {
+        self.fixed = Some(name.to_string());
         self
-    }
-
-    /// Shorthand for [`TunerPolicy::Fixed`].
-    pub fn fixed_backend(self, name: &str) -> Self {
-        self.policy(TunerPolicy::Fixed(name.to_string()))
     }
 
     /// Finishes the builder.
@@ -105,7 +96,7 @@ impl RuntimeBuilder {
             .collect();
         Runtime {
             registry: self.registry,
-            policy: self.policy,
+            fixed: self.fixed,
             opts: self.opts,
             telemetry: Telemetry::default(),
             health,
@@ -134,7 +125,8 @@ struct BackendHealth {
 #[derive(Debug)]
 pub struct Runtime {
     registry: BackendRegistry,
-    policy: TunerPolicy,
+    /// The backend [`RuntimeBuilder::fixed_backend`] pinned, if any.
+    fixed: Option<String>,
     opts: RuntimeOptions,
     telemetry: Telemetry,
     /// One entry per registered backend, indexed like the registry.
@@ -148,8 +140,8 @@ impl Default for Runtime {
 }
 
 impl Runtime {
-    /// A runtime with the standard backend registry, the lane-width rule
-    /// ([`TunerPolicy::Rule`]), and one worker per core.
+    /// A runtime with the standard backends, the lane-width rule, and one
+    /// worker per core.
     pub fn new() -> Self {
         Runtime::default()
     }
@@ -159,12 +151,12 @@ impl Runtime {
         RuntimeBuilder {
             registry: BackendRegistry::standard(),
             opts: RuntimeOptions::default(),
-            policy: TunerPolicy::default(),
+            fixed: None,
         }
     }
 
     /// The registered backends.
-    pub fn registry(&self) -> &BackendRegistry {
+    pub(crate) fn registry(&self) -> &BackendRegistry {
         &self.registry
     }
 
@@ -296,9 +288,9 @@ impl Runtime {
     }
 
     pub(crate) fn pick_backend(&self, circuit: &CompiledCircuit, batch: usize) -> Result<usize> {
-        let idx = match &self.policy {
-            TunerPolicy::Fixed(name) => self.registry.index_of(name),
-            TunerPolicy::Rule => pick_by_rule(&self.registry, circuit, batch),
+        let idx = match &self.fixed {
+            Some(name) => self.registry.index_of(name),
+            None => pick_by_rule(&self.registry, circuit, batch),
         }?;
         if self.backend_usable(idx) {
             return Ok(idx);

@@ -468,9 +468,9 @@ impl<G, D> Engine<G, D> {
                 return Err(e.clone());
             }
             if s.aborted {
-                // Abandoned without an error: callers treat this like a
-                // refused push (they only abandon from shutdown).
-                return Err(RuntimeError::NoBackend);
+                // Abandoned without an error is session shutdown, the same
+                // state a refused `push` reports as a finished session.
+                return Err(RuntimeError::SessionFinished);
             }
             if let Some(d) = Self::take_ready(&mut s, self.ordered) {
                 self.cv.notify_all();
@@ -478,8 +478,10 @@ impl<G, D> Engine<G, D> {
             }
             if s.tenants[slot].queue.len() < s.queue_capacity {
                 // The single-thread driver allocates its sequence at
-                // enqueue time: it holds the session packing lock across
-                // this call, so extraction order and sequence order agree.
+                // enqueue time: it holds the lane's `dispatching` flag
+                // across this call, so no other thread extracts from this
+                // tenant's lane and extraction order and sequence order
+                // agree.
                 let t = &mut s.tenants[slot];
                 let seq = t.next_seq;
                 t.next_seq += 1;
@@ -728,12 +730,9 @@ impl<G, D> Engine<G, D> {
     }
 
     /// Per-tenant queue statistics, in slot order (telemetry).
-    pub(crate) fn tenant_stats(&self) -> Vec<(TenantId, u32, TenantQueueStats)> {
+    pub(crate) fn tenant_stats(&self) -> Vec<TenantQueueStats> {
         let s = self.lock_state();
-        s.tenants
-            .iter()
-            .map(|t| (t.id, t.weight, t.stats))
-            .collect()
+        s.tenants.iter().map(|t| t.stats).collect()
     }
 }
 
@@ -1202,8 +1201,8 @@ mod tests {
             max = max.max(wait_ns);
         }
         let stats = e.tenant_stats();
-        assert_eq!(stats[0].2.wait_ns_total, total);
-        assert_eq!(stats[0].2.wait_ns_max, max);
+        assert_eq!(stats[0].wait_ns_total, total);
+        assert_eq!(stats[0].wait_ns_max, max);
         assert!(max >= 2_000_000, "first group queued ≥ 2ms, saw {max}ns");
     }
 
@@ -1237,6 +1236,16 @@ mod tests {
         }
         // And nothing was enqueued behind the failure.
         assert!(e.pop().is_none());
+    }
+
+    #[test]
+    fn push_or_take_on_an_abandoned_engine_reports_a_finished_session() {
+        let e = engine(true, 2, 2);
+        e.abandon();
+        assert!(matches!(
+            e.push_or_take(0, 1, 1),
+            Err(RuntimeError::SessionFinished)
+        ));
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::faults::FaultPlan;
 use crate::metrics::{Histogram, StageHistograms};
 use crate::ordered::{LockRank, OrderedMutex, OrderedMutexGuard};
 use crate::runtime::Runtime;
-use crate::scheduler::{AdmissionPolicy, Engine, PushOrTake, PushOutcome, Take, TenantQueueStats};
+use crate::scheduler::{AdmissionPolicy, Engine, PushOrTake, PushOutcome, Take};
 use crate::trace::{FlightRecorder, TraceEventKind};
 use crate::{Result, RuntimeError, TenantId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,7 +71,7 @@ pub struct SessionOptions {
     /// up — this is what bounds response-side memory.
     pub reorder_window: usize,
     /// Expected total request count, if known (`0` for a genuinely
-    /// unbounded stream). Used to pick the backend's tuning bucket and to
+    /// unbounded stream). Used to pick the backend's lane width and to
     /// bound the worker count for small batches; falls back to
     /// [`crate::RuntimeBuilder::stream_batch_hint`].
     pub batch_hint: usize,
@@ -140,7 +140,7 @@ impl SessionOptions {
         self
     }
 
-    /// Tags un-tagged submissions with `tenant` (default [`TenantId(0)`]).
+    /// Tags un-tagged submissions with `tenant` (default [`TenantId::DEFAULT`]).
     pub fn tenant(mut self, tenant: TenantId) -> Self {
         self.tenant = tenant;
         self
@@ -509,19 +509,10 @@ impl<'a> SessionShared<'a> {
         let engine_stats = self.engine.tenant_stats();
         let pack = lock_tolerant(&self.pack);
         for lane in &pack.lanes {
-            let (weight, stats) = engine_stats
-                .get(lane.slot)
-                .map_or((1, TenantQueueStats::default()), |(_, w, s)| (*w, *s));
-            self.runtime.telemetry_ref().record_tenant(
-                lane.id,
-                weight,
-                lane.requests,
-                lane.groups,
-                stats.popped_groups,
-                stats.served_charge,
-                stats.wait_ns_total,
-                stats.wait_ns_max,
-            );
+            let stats = engine_stats.get(lane.slot).copied().unwrap_or_default();
+            self.runtime
+                .telemetry_ref()
+                .record_tenant(lane.id, lane.requests, lane.groups, stats);
         }
     }
 
@@ -592,7 +583,11 @@ impl<'a> SessionShared<'a> {
             return i;
         }
         let slot = self.engine.register_tenant(tenant, weight);
-        let stages = self.runtime.telemetry_ref().tenant_stages(tenant);
+        // Report the weight the engine schedules by (clamped to ≥ 1).
+        let stages = self
+            .runtime
+            .telemetry_ref()
+            .tenant_stages(tenant, weight.max(1));
         {
             let mut sets = lock_tolerant(&self.stage_sets);
             debug_assert_eq!(slot, sets.len(), "slots register in order");
@@ -1537,11 +1532,6 @@ impl<'scope, 'env> StreamSession<'scope, 'env> {
         std::iter::from_fn(move || self.next_response().transpose())
     }
 
-    /// Requests submitted so far, across all tenants.
-    pub fn submitted(&self) -> u64 {
-        lock_tolerant(&self.shared.pack).next_request
-    }
-
     // lint:hot-path-begin — one call per submitted row; the steady-state
     // zero-allocs budget (tests/alloc_steady_state.rs) covers this body.
     fn pack_row_locked(&self, pack: &mut PackState, lane: usize, row: &[bool]) -> u64 {
@@ -1692,7 +1682,7 @@ impl<'scope, 'env> StreamSession<'scope, 'env> {
     }
 }
 
-/// A response borrowed from the session's [`ResponsePool`]: dereferences to
+/// A response borrowed from the session's response pool: dereferences to
 /// [`Response`], and recycles the payload buffers back to the scheduler
 /// workers on drop. [`PooledResponse::into_response`] detaches it instead
 /// (keeping the buffers, at the cost of one pool miss later).

@@ -5,6 +5,7 @@
 
 use crate::metrics::{Histogram, HistogramSnapshot, StageHistograms, StageSnapshot};
 use crate::ordered::{LockRank, OrderedMutex};
+use crate::scheduler::TenantQueueStats;
 use crate::TenantId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -27,21 +28,20 @@ use std::sync::Arc;
 pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
 /// Lock-light counters accumulated across everything a [`crate::Runtime`]
-/// serves. Group-grained updates go through atomics; only the per-backend
-/// tally map takes a lock (once per group, not per request). The stage
-/// histograms are handed out as [`Arc`]s once per session lane, so the
-/// per-request recording path is lock-free.
+/// serves. Each backend and each tenant has one ledger entry: its tallies
+/// next to the histograms sessions record into. The backend map is locked
+/// once per lane group and the tenant map once per lane registration and
+/// session close; the histograms are handed out as [`Arc`]s, so the
+/// per-request recording path is lock-free. Global work totals are summed
+/// from the backend ledger when a snapshot is taken.
 #[derive(Debug)]
 pub struct Telemetry {
-    requests: AtomicU64,
-    groups: AtomicU64,
     padded_lanes: AtomicU64,
-    gate_evals: AtomicU64,
     /// Gate evaluations split by kernel class (`[Unit, Pow2, General]`).
     class_gate_evals: [AtomicU64; 3],
-    firings: AtomicU64,
-    busy_ns: AtomicU64,
-    per_backend: OrderedMutex<BTreeMap<&'static str, BackendTally>>,
+    /// Per-backend tallies and eval-latency histograms (nanoseconds per
+    /// group inside the backend), keyed by backend name.
+    per_backend: OrderedMutex<BTreeMap<&'static str, (BackendTally, Arc<Histogram>)>>,
     /// Streaming sessions opened (every `serve_batch`/`serve_stream` call
     /// is one session under the hood).
     sessions: AtomicU64,
@@ -53,15 +53,10 @@ pub struct Telemetry {
     /// allocated (pool misses; warm-up is all misses).
     pool_hits: AtomicU64,
     pool_misses: AtomicU64,
-    /// Per-tenant serving and queue-wait tallies, keyed by tenant id.
-    per_tenant: OrderedMutex<BTreeMap<TenantId, TenantTally>>,
-    /// Per-tenant lifecycle-stage histograms. Sessions clone the [`Arc`]
-    /// once per lane and record lock-free from then on; the map lock is a
-    /// lane-registration cost, not a per-request one.
-    per_tenant_stages: OrderedMutex<BTreeMap<TenantId, Arc<StageHistograms>>>,
-    /// Per-backend eval-latency histograms (nanoseconds per group inside
-    /// the backend), same [`Arc`] hand-out discipline.
-    per_backend_eval: OrderedMutex<BTreeMap<&'static str, Arc<Histogram>>>,
+    /// Per-tenant serving and queue-wait tallies and lifecycle-stage
+    /// histograms, keyed by tenant id. The entry is created when a session
+    /// lane registers the tenant.
+    per_tenant: OrderedMutex<BTreeMap<TenantId, (TenantTally, Arc<StageHistograms>)>>,
     /// Requests shed at admission (full tenant queue under a shedding
     /// [`crate::AdmissionPolicy`]).
     sheds: AtomicU64,
@@ -78,13 +73,8 @@ pub struct Telemetry {
 impl Default for Telemetry {
     fn default() -> Telemetry {
         Telemetry {
-            requests: AtomicU64::new(0),
-            groups: AtomicU64::new(0),
             padded_lanes: AtomicU64::new(0),
-            gate_evals: AtomicU64::new(0),
             class_gate_evals: Default::default(),
-            firings: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
             per_backend: OrderedMutex::new(
                 LockRank::TELEMETRY_BACKEND,
                 "telemetry.per_backend",
@@ -98,16 +88,6 @@ impl Default for Telemetry {
             per_tenant: OrderedMutex::new(
                 LockRank::TELEMETRY_TENANT,
                 "telemetry.per_tenant",
-                BTreeMap::new(),
-            ),
-            per_tenant_stages: OrderedMutex::new(
-                LockRank::TELEMETRY_TENANT_STAGES,
-                "telemetry.per_tenant_stages",
-                BTreeMap::new(),
-            ),
-            per_backend_eval: OrderedMutex::new(
-                LockRank::TELEMETRY_BACKEND_EVAL,
-                "telemetry.per_backend_eval",
                 BTreeMap::new(),
             ),
             sheds: AtomicU64::new(0),
@@ -187,27 +167,21 @@ impl Telemetry {
         firings: u64,
         busy_ns: u64,
     ) {
-        self.requests.fetch_add(requests, Ordering::Relaxed);
-        self.groups.fetch_add(1, Ordering::Relaxed);
         self.padded_lanes
             .fetch_add(lane_group.saturating_sub(requests), Ordering::Relaxed);
-        let gate_evals: u64 = class_gate_evals.iter().sum();
-        self.gate_evals.fetch_add(gate_evals, Ordering::Relaxed);
         for (counter, evals) in self.class_gate_evals.iter().zip(class_gate_evals) {
             counter.fetch_add(evals, Ordering::Relaxed);
         }
-        self.firings.fetch_add(firings, Ordering::Relaxed);
-        self.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
         // Poison-tolerant throughout this module: a worker that panicked
         // mid-record must not wedge every later snapshot — counters are
         // monotone tallies, so the worst a torn update costs is one group's
         // increments.
         let mut map = crate::lock_tolerant(&self.per_backend);
-        let tally = map.entry(backend).or_default();
+        let (tally, _) = map.entry(backend).or_default();
         tally.groups += 1;
         tally.requests += requests;
         tally.busy_ns += busy_ns;
-        tally.gate_evals += gate_evals;
+        tally.gate_evals += class_gate_evals.iter().sum::<u64>();
         tally.firings += firings;
     }
 
@@ -232,47 +206,42 @@ impl Telemetry {
 
     /// Merges one closed session's per-tenant tallies (requests, groups,
     /// and scheduler queue-wait aggregates) into the runtime-wide ledger.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_tenant(
         &self,
         tenant: TenantId,
-        weight: u32,
         requests: u64,
         groups: u64,
-        queued_groups: u64,
-        served_cost: u64,
-        queue_wait_ns_total: u64,
-        queue_wait_ns_max: u64,
+        queue: TenantQueueStats,
     ) {
         let mut map = crate::lock_tolerant(&self.per_tenant);
-        let tally = map.entry(tenant).or_default();
-        tally.weight = weight;
+        let (tally, _) = map.entry(tenant).or_default();
         tally.requests += requests;
         tally.groups += groups;
-        tally.queued_groups += queued_groups;
-        tally.served_cost += served_cost;
-        tally.queue_wait_ns_total += queue_wait_ns_total;
-        tally.queue_wait_ns_max = tally.queue_wait_ns_max.max(queue_wait_ns_max);
+        tally.queued_groups += queue.popped_groups;
+        tally.served_cost += queue.served_charge;
+        tally.queue_wait_ns_total += queue.wait_ns_total;
+        tally.queue_wait_ns_max = tally.queue_wait_ns_max.max(queue.wait_ns_max);
     }
 
-    /// The shared stage-histogram set for `tenant` (created on first
-    /// sight). Sessions call this once per lane registration and record
-    /// through the returned [`Arc`] lock-free afterwards.
-    pub(crate) fn tenant_stages(&self, tenant: TenantId) -> Arc<StageHistograms> {
-        Arc::clone(
-            crate::lock_tolerant(&self.per_tenant_stages)
-                .entry(tenant)
-                .or_default(),
-        )
+    /// Registers `tenant` at scheduling `weight` (last registration wins)
+    /// and returns its shared stage-histogram set. Sessions call this once
+    /// per lane registration and record through the returned [`Arc`]
+    /// lock-free afterwards.
+    pub(crate) fn tenant_stages(&self, tenant: TenantId, weight: u32) -> Arc<StageHistograms> {
+        let mut map = crate::lock_tolerant(&self.per_tenant);
+        let (tally, stages) = map.entry(tenant).or_default();
+        tally.weight = weight;
+        Arc::clone(stages)
     }
 
     /// The shared eval-latency histogram for `backend` (created on first
     /// sight). Sessions resolve this once, with the plan.
     pub(crate) fn backend_eval(&self, backend: &'static str) -> Arc<Histogram> {
         Arc::clone(
-            crate::lock_tolerant(&self.per_backend_eval)
+            &crate::lock_tolerant(&self.per_backend)
                 .entry(backend)
-                .or_default(),
+                .or_default()
+                .1,
         )
     }
 
@@ -300,16 +269,24 @@ impl Telemetry {
 
     /// A point-in-time copy of all counters and histograms.
     pub fn snapshot(&self) -> TelemetrySummary {
-        let per_tenant_stages: BTreeMap<TenantId, StageSnapshot> =
-            crate::lock_tolerant(&self.per_tenant_stages)
-                .iter()
-                .map(|(id, h)| (*id, h.snapshot()))
-                .collect();
-        let per_backend_eval: BTreeMap<&'static str, HistogramSnapshot> =
-            crate::lock_tolerant(&self.per_backend_eval)
-                .iter()
-                .map(|(name, h)| (*name, h.snapshot()))
-                .collect();
+        let mut per_backend = BTreeMap::new();
+        let mut per_backend_eval = BTreeMap::new();
+        for (name, (tally, eval)) in crate::lock_tolerant(&self.per_backend).iter() {
+            // Sessions resolve the eval histogram with the plan, so a backend
+            // whose every group failed over has an entry but no tally: it
+            // is listed with its eval histogram only.
+            if tally.groups > 0 {
+                per_backend.insert(*name, *tally);
+            }
+            per_backend_eval.insert(*name, eval.snapshot());
+        }
+        let mut per_tenant = BTreeMap::new();
+        let mut per_tenant_stages = BTreeMap::new();
+        for (id, (tally, stages)) in crate::lock_tolerant(&self.per_tenant).iter() {
+            per_tenant.insert(*id, *tally);
+            per_tenant_stages.insert(*id, stages.snapshot());
+        }
+        let total = |field: fn(&BackendTally) -> u64| per_backend.values().map(field).sum();
         // Every recording goes through a tenant lane (serve_batch and
         // serve_stream ride the default tenant), so the global stage view
         // is exactly the merge of the per-tenant ones.
@@ -318,24 +295,23 @@ impl Telemetry {
             stages.merge(s);
         }
         TelemetrySummary {
-            requests: self.requests.load(Ordering::Relaxed),
-            groups: self.groups.load(Ordering::Relaxed),
+            requests: total(|t| t.requests),
+            groups: total(|t| t.groups),
             padded_lanes: self.padded_lanes.load(Ordering::Relaxed),
-            gate_evals: self.gate_evals.load(Ordering::Relaxed),
-            class_gate_evals: [
-                self.class_gate_evals[0].load(Ordering::Relaxed),
-                self.class_gate_evals[1].load(Ordering::Relaxed),
-                self.class_gate_evals[2].load(Ordering::Relaxed),
-            ],
-            firings: self.firings.load(Ordering::Relaxed),
-            busy_ns: self.busy_ns.load(Ordering::Relaxed),
-            per_backend: crate::lock_tolerant(&self.per_backend).clone(),
+            gate_evals: total(|t| t.gate_evals),
+            class_gate_evals: self
+                .class_gate_evals
+                .each_ref()
+                .map(|c| c.load(Ordering::Relaxed)),
+            firings: total(|t| t.firings),
+            busy_ns: total(|t| t.busy_ns),
+            per_backend,
             sessions: self.sessions.load(Ordering::Relaxed),
             peak_in_flight_requests: self.peak_in_flight_requests.load(Ordering::Relaxed),
             peak_reorder_window_groups: self.peak_reorder_window_groups.load(Ordering::Relaxed),
             pool_hits: self.pool_hits.load(Ordering::Relaxed),
             pool_misses: self.pool_misses.load(Ordering::Relaxed),
-            per_tenant: crate::lock_tolerant(&self.per_tenant).clone(),
+            per_tenant,
             stages,
             per_tenant_stages,
             per_backend_eval,
@@ -470,6 +446,22 @@ fn stages_json(s: &StageSnapshot) -> String {
 fn prom_family(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// Emits one single-label family: its `# HELP` + `# TYPE` header, then one
+/// `name{label="key"} value` sample per entry of `samples`.
+fn prom_labelled<K: fmt::Display, V: fmt::Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    label: &str,
+    samples: impl IntoIterator<Item = (K, V)>,
+) {
+    prom_family(out, name, kind, help);
+    for (key, value) in samples {
+        let _ = writeln!(out, "{name}{{{label}=\"{key}\"}} {value}");
+    }
 }
 
 /// Emits the `_bucket`/`_sum`/`_count` samples of one histogram under
@@ -810,21 +802,16 @@ impl TelemetrySummary {
             let _ = writeln!(out, "{name} {value}");
         }
 
-        prom_family(
+        prom_labelled(
             &mut out,
             "tcmm_class_gate_evals_total",
             "counter",
             "Gate evaluations by kernel dispatch class.",
+            "class",
+            ["unit", "pow2", "general"]
+                .iter()
+                .zip(self.class_gate_evals),
         );
-        for (class, value) in ["unit", "pow2", "general"]
-            .iter()
-            .zip(self.class_gate_evals)
-        {
-            let _ = writeln!(
-                out,
-                "tcmm_class_gate_evals_total{{class=\"{class}\"}} {value}"
-            );
-        }
 
         for (name, help, value) in [
             (
@@ -842,125 +829,85 @@ impl TelemetrySummary {
             let _ = writeln!(out, "{name} {value}");
         }
 
-        prom_family(
+        let backends = &self.per_backend;
+        prom_labelled(
             &mut out,
             "tcmm_backend_groups_total",
             "counter",
             "Lane groups evaluated, by backend.",
+            "backend",
+            backends.iter().map(|(name, t)| (name, t.groups)),
         );
-        for (name, t) in &self.per_backend {
-            let _ = writeln!(
-                out,
-                "tcmm_backend_groups_total{{backend=\"{name}\"}} {}",
-                t.groups
-            );
-        }
-        prom_family(
+        prom_labelled(
             &mut out,
             "tcmm_backend_requests_total",
             "counter",
             "Requests evaluated, by backend.",
+            "backend",
+            backends.iter().map(|(name, t)| (name, t.requests)),
         );
-        for (name, t) in &self.per_backend {
-            let _ = writeln!(
-                out,
-                "tcmm_backend_requests_total{{backend=\"{name}\"}} {}",
-                t.requests
-            );
-        }
-        prom_family(
+        prom_labelled(
             &mut out,
             "tcmm_backend_gate_evals_total",
             "counter",
             "Gate evaluations, by backend.",
+            "backend",
+            backends.iter().map(|(name, t)| (name, t.gate_evals)),
         );
-        for (name, t) in &self.per_backend {
-            let _ = writeln!(
-                out,
-                "tcmm_backend_gate_evals_total{{backend=\"{name}\"}} {}",
-                t.gate_evals
-            );
-        }
-        prom_family(
+        prom_labelled(
             &mut out,
             "tcmm_backend_firings_total",
             "counter",
             "Gate firings, by backend.",
+            "backend",
+            backends.iter().map(|(name, t)| (name, t.firings)),
         );
-        for (name, t) in &self.per_backend {
-            let _ = writeln!(
-                out,
-                "tcmm_backend_firings_total{{backend=\"{name}\"}} {}",
-                t.firings
-            );
-        }
-        prom_family(
+        prom_labelled(
             &mut out,
             "tcmm_backend_busy_seconds_total",
             "counter",
             "Wall-clock seconds inside the backend, summed across workers.",
+            "backend",
+            backends
+                .iter()
+                .map(|(name, t)| (name, t.busy_ns as f64 / 1e9)),
         );
-        for (name, t) in &self.per_backend {
-            let _ = writeln!(
-                out,
-                "tcmm_backend_busy_seconds_total{{backend=\"{name}\"}} {}",
-                t.busy_ns as f64 / 1e9
-            );
-        }
 
-        prom_family(
+        let tenants = &self.per_tenant;
+        prom_labelled(
             &mut out,
             "tcmm_tenant_weight",
             "gauge",
             "DRR scheduling weight, by tenant.",
+            "tenant",
+            tenants.iter().map(|(id, t)| (id.0, t.weight)),
         );
-        for (id, t) in &self.per_tenant {
-            let _ = writeln!(
-                out,
-                "tcmm_tenant_weight{{tenant=\"{}\"}} {}",
-                id.0, t.weight
-            );
-        }
-        prom_family(
+        prom_labelled(
             &mut out,
             "tcmm_tenant_requests_total",
             "counter",
             "Requests submitted, by tenant.",
+            "tenant",
+            tenants.iter().map(|(id, t)| (id.0, t.requests)),
         );
-        for (id, t) in &self.per_tenant {
-            let _ = writeln!(
-                out,
-                "tcmm_tenant_requests_total{{tenant=\"{}\"}} {}",
-                id.0, t.requests
-            );
-        }
-        prom_family(
+        prom_labelled(
             &mut out,
             "tcmm_tenant_groups_total",
             "counter",
             "Lane groups packed, by tenant.",
+            "tenant",
+            tenants.iter().map(|(id, t)| (id.0, t.groups)),
         );
-        for (id, t) in &self.per_tenant {
-            let _ = writeln!(
-                out,
-                "tcmm_tenant_groups_total{{tenant=\"{}\"}} {}",
-                id.0, t.groups
-            );
-        }
-        prom_family(
+        prom_labelled(
             &mut out,
             "tcmm_tenant_queue_wait_seconds_total",
             "counter",
             "Total seconds the tenant's groups spent queued.",
+            "tenant",
+            tenants
+                .iter()
+                .map(|(id, t)| (id.0, t.queue_wait_ns_total as f64 / 1e9)),
         );
-        for (id, t) in &self.per_tenant {
-            let _ = writeln!(
-                out,
-                "tcmm_tenant_queue_wait_seconds_total{{tenant=\"{}\"}} {}",
-                id.0,
-                t.queue_wait_ns_total as f64 / 1e9
-            );
-        }
 
         prom_family(
             &mut out,
@@ -1039,41 +986,6 @@ impl TelemetrySummary {
             );
         }
         out
-    }
-}
-
-/// Turns a stream of cumulative [`TelemetrySummary`] snapshots into
-/// per-interval deltas — the "what happened since the last report" reporter
-/// a periodic exporter loop wraps around [`crate::Runtime::telemetry`]:
-///
-/// ```
-/// # use tc_runtime::{Runtime, TelemetryReporter};
-/// let runtime = Runtime::new();
-/// let mut reporter = TelemetryReporter::new(runtime.telemetry());
-/// // ... serve traffic, then once per export interval:
-/// let interval = reporter.report(runtime.telemetry());
-/// println!("{}", interval.to_json());
-/// ```
-#[derive(Debug, Clone)]
-pub struct TelemetryReporter {
-    last: TelemetrySummary,
-}
-
-impl TelemetryReporter {
-    /// Starts an interval sequence from `initial` (typically the snapshot
-    /// taken when the exporter loop starts; deltas never include traffic
-    /// served before it).
-    pub fn new(initial: TelemetrySummary) -> TelemetryReporter {
-        TelemetryReporter { last: initial }
-    }
-
-    /// The delta between `current` and the previous report (see
-    /// [`TelemetrySummary::delta_since`] for gauge/peak semantics), and
-    /// advances the interval.
-    pub fn report(&mut self, current: TelemetrySummary) -> TelemetrySummary {
-        let delta = current.delta_since(&self.last);
-        self.last = current;
-        delta
     }
 }
 
@@ -1202,6 +1114,15 @@ mod tests {
         assert!(display.contains("padded lanes: 54"));
     }
 
+    fn queue(popped_groups: u64, served_charge: u64, total: u64, max: u64) -> TenantQueueStats {
+        TenantQueueStats {
+            popped_groups,
+            served_charge,
+            wait_ns_total: total,
+            wait_ns_max: max,
+        }
+    }
+
     #[test]
     // The ratio is clamped to an exact constant, so `==` is the right check.
     #[allow(clippy::float_cmp)]
@@ -1211,22 +1132,22 @@ mod tests {
         // clock, against one that accumulated real wait: the ratio must
         // treat the former as the (clamped) best case, not drop it and
         // report a vacuous 1.0.
-        t.record_tenant(TenantId(1), 1, 64, 4, 4, 100, 0, 0);
-        t.record_tenant(TenantId(2), 1, 64, 4, 4, 100, 4_000, 2_000);
+        t.record_tenant(TenantId(1), 64, 4, queue(4, 100, 0, 0));
+        t.record_tenant(TenantId(2), 64, 4, queue(4, 100, 4_000, 2_000));
         let s = t.snapshot();
         assert_eq!(s.max_queue_wait_ratio(), 1_000.0);
         // A tenant that never queued (inline-only) still stays out.
-        t.record_tenant(TenantId(3), 1, 64, 4, 0, 0, 0, 0);
+        t.record_tenant(TenantId(3), 64, 4, queue(0, 0, 0, 0));
         assert_eq!(t.snapshot().max_queue_wait_ratio(), 1_000.0);
     }
 
     #[test]
     fn stage_histograms_merge_into_the_global_view() {
         let t = Telemetry::default();
-        let a = t.tenant_stages(TenantId(1));
-        let b = t.tenant_stages(TenantId(2));
+        let a = t.tenant_stages(TenantId(1), 1);
+        let b = t.tenant_stages(TenantId(2), 1);
         assert!(
-            Arc::ptr_eq(&a, &t.tenant_stages(TenantId(1))),
+            Arc::ptr_eq(&a, &t.tenant_stages(TenantId(1), 1)),
             "same tenant must share one histogram set"
         );
         a.end_to_end.record(1_000);
@@ -1242,15 +1163,17 @@ mod tests {
     }
 
     #[test]
-    fn reporter_yields_interval_deltas() {
+    fn delta_since_yields_interval_deltas() {
         let t = Telemetry::default();
+        let stages = t.tenant_stages(TenantId::DEFAULT, 1);
         t.record_group("sliced64", 64, 64, [100, 0, 0], 10, 1_000);
-        t.tenant_stages(TenantId::DEFAULT).end_to_end.record(5_000);
-        let mut reporter = TelemetryReporter::new(t.snapshot());
+        stages.end_to_end.record(5_000);
+        let start = t.snapshot();
         t.record_group("sliced64", 32, 64, [50, 0, 0], 5, 500);
-        t.tenant_stages(TenantId::DEFAULT).end_to_end.record(7_000);
-        t.tenant_stages(TenantId::DEFAULT).end_to_end.record(9_000);
-        let delta = reporter.report(t.snapshot());
+        stages.end_to_end.record(7_000);
+        stages.end_to_end.record(9_000);
+        let now = t.snapshot();
+        let delta = now.delta_since(&start);
         assert_eq!(delta.requests, 32);
         assert_eq!(delta.groups, 1);
         assert_eq!(delta.firings, 5);
@@ -1258,28 +1181,52 @@ mod tests {
         assert_eq!(delta.stages.end_to_end.count(), 2);
         assert_eq!(delta.stages.end_to_end.sum(), 16_000);
         // The next interval starts from here: an idle interval is all-zero.
-        let idle = reporter.report(t.snapshot());
+        let idle = t.snapshot().delta_since(&now);
         assert_eq!(idle.requests, 0);
         assert_eq!(idle.stages.end_to_end.count(), 0);
     }
 
     #[test]
-    fn exports_carry_the_schema_version() {
+    fn exports_match_the_pinned_golden_files() {
+        // The recording order a session follows: eval histograms resolve
+        // with the plan (`wide256` stands for a planned backend whose every
+        // group failed over), tenant lanes register, groups serve, and the
+        // session flushes its gauges and tenant tallies on close.
         let t = Telemetry::default();
-        t.record_group("sliced64", 64, 64, [100, 0, 0], 10, 1_000);
-        t.record_tenant(TenantId(1), 2, 64, 1, 1, 10, 2_000, 2_000);
-        t.tenant_stages(TenantId(1)).end_to_end.record(1_500);
+        let sliced = t.backend_eval("sliced64");
+        let scalar = t.backend_eval("scalar");
+        let _failed = t.backend_eval("wide256");
+        let a = t.tenant_stages(TenantId(1), 2);
+        let b = t.tenant_stages(TenantId(4), 1);
+        for (stages, ns) in [(&a, 1_500u64), (&a, 40_000), (&b, 3_000_000)] {
+            stages.queue_wait.record(ns / 3);
+            stages.pack.record(ns / 5);
+            stages.eval.record(ns / 2);
+            stages.delivery_wait.record(ns / 7);
+            stages.end_to_end.record(ns);
+            stages.firings.record(ns % 97);
+        }
+        t.record_group("sliced64", 64, 64, [64 * 60, 64 * 30, 64 * 10], 640, 12_000);
+        sliced.record(12_000);
+        t.record_group("sliced64", 10, 64, [10 * 60, 10 * 30, 10 * 10], 50, 5_000);
+        sliced.record(5_000);
+        t.record_group("scalar", 3, 3, [3 * 60, 3 * 30, 3 * 10], 21, 900);
+        scalar.record(900);
+        t.record_sheds(5);
+        t.record_retries(3);
+        t.record_deadline_misses(2);
+        t.record_quarantines(1);
+        t.record_session(70, 3, 40, 12);
+        t.record_tenant(TenantId(1), 64, 2, queue(2, 400, 6_000, 5_000));
+        t.record_tenant(TenantId(4), 13, 2, queue(1, 100, 1_000, 1_000));
         let s = t.snapshot();
-        let json = s.to_json();
-        assert!(json.contains("\"schema_version\": 2"), "{json}");
-        assert!(json.contains("\"requests\": 64"), "{json}");
-        assert!(json.contains("\"end_to_end\""), "{json}");
-        let prom = s.to_prometheus();
-        assert!(prom.contains("tcmm_telemetry_schema_version 2"), "{prom}");
-        assert!(prom.contains("tcmm_requests_total 64"), "{prom}");
-        assert!(
-            prom.contains("tcmm_tenant_stage_latency_seconds_bucket{tenant=\"1\",stage=\"end_to_end\",le=\"+Inf\"} 1"),
-            "{prom}"
+        assert_eq!(
+            s.to_json(),
+            include_str!("../testdata/telemetry_golden.json")
+        );
+        assert_eq!(
+            s.to_prometheus(),
+            include_str!("../testdata/telemetry_golden.prom")
         );
     }
 }

@@ -12,18 +12,6 @@ use crate::backend::BackendRegistry;
 use crate::{Result, RuntimeError};
 use tc_circuit::{simd, CompiledCircuit};
 
-/// How a [`crate::Runtime`] chooses its backend for each submission.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum TunerPolicy {
-    /// The lane-width rule: the smallest bit-sliced group covering
-    /// `min(batch, widest vectorized group)`, or a per-request backend
-    /// where its [`crate::EvalBackend::cost_model`] is lower.
-    #[default]
-    Rule,
-    /// Always use the named backend.
-    Fixed(String),
-}
-
 /// The widest standard lane group whose word-columns the host's SIMD level
 /// vectorizes, or 64 lanes (`sliced64`) when none is.
 fn widest_vectorized_group() -> usize {

@@ -82,8 +82,6 @@ fn increasing_acquisition_is_clean_across_the_runtime_hierarchy() {
         OrderedMutex::new(LockRank::RESPONSE_POOL, "t.pool", ()),
         OrderedMutex::new(LockRank::TELEMETRY_BACKEND, "t.backend", ()),
         OrderedMutex::new(LockRank::TELEMETRY_TENANT, "t.tenant", ()),
-        OrderedMutex::new(LockRank::TELEMETRY_TENANT_STAGES, "t.tstages", ()),
-        OrderedMutex::new(LockRank::TELEMETRY_BACKEND_EVAL, "t.beval", ()),
         OrderedMutex::new(LockRank::TRACE_RING, "t.ring", ()),
     ];
     let guards: Vec<_> = locks.iter().map(|l| l.lock().unwrap()).collect();

@@ -462,6 +462,38 @@ fn in_process_export_is_valid_and_complete() {
 }
 
 #[test]
+fn a_tenant_of_a_panicked_session_is_listed_by_both_exports() {
+    // A panicking closure skips the session's tenant flush, but the tenant
+    // registered with its first row, so both exports list it (with
+    // zero tallies).
+    let runtime = Runtime::builder().workers(1).build();
+    let cc = circuit();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        runtime.open_session(
+            &cc,
+            SessionOptions::default().tenant(TenantId(9)),
+            |session| {
+                for i in 0..100u32 {
+                    let row: Vec<bool> = (0..8).map(|b| (i >> b) & 1 == 1).collect();
+                    session.submit(&row).unwrap();
+                }
+                panic!("closure fails mid-stream");
+            },
+        )
+    }));
+    assert!(outcome.is_err(), "the closure's panic must propagate");
+    let summary = runtime.telemetry();
+    let json = summary.to_json();
+    assert_json_export_shape(&json, "to_json after a panicked session");
+    assert!(json.contains("\"id\": 9,"), "{json}");
+    let prom = summary.to_prometheus();
+    assert!(
+        prom.contains("tcmm_tenant_weight{tenant=\"9\"} 1"),
+        "{prom}"
+    );
+}
+
+#[test]
 fn validator_rejects_malformed_exports() {
     let reject = |text: &str, why: &str| {
         assert!(
