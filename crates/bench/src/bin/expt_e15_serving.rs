@@ -4,8 +4,8 @@
 //! every workload the paper motivates. This experiment drives a mixed
 //! 10k-request load — social-network triangle queries (Section 5), matrix
 //! products (Theorem 4.9), and convnet inference (Section 5's im2col
-//! convolution) — through **one** serving runtime: one backend registry, one
-//! backend-selection rule, one telemetry ledger, with each workload's requests
+//! convolution) — through **one** serving runtime: one closed backend set,
+//! one backend-selection rule, one telemetry ledger, with each workload's requests
 //! packed into bit-sliced lane groups and sharded across worker threads.
 //!
 //! The triangle queries additionally arrive as an *unbounded stream*,
@@ -414,7 +414,7 @@ fn main() {
          served twice (wrapper + session)"
     );
     println!(
-        "\nall requests served by one runtime: one registry, one selection rule, one ledger — \
+        "\nall requests served by one runtime: one backend set, one selection rule, one ledger — \
          and the streamed workload byte-identical across serve_stream and sessions."
     );
 }

@@ -1,17 +1,13 @@
-//! # tc-runtime — a pluggable multi-backend serving runtime
+//! # tc-runtime — the serving runtime for compiled threshold circuits
 //!
 //! The compiled CSR engine in `tc-circuit` hosts one scalar oracle and one
 //! width-generic bit-sliced kernel, run at 64, 128, 256 or 512 lanes per
 //! pass. Each width wins on a different (circuit size, batch size) region,
 //! and callers should not have to hand-chunk batches of exactly one
 //! lane-group width or guess which width to use. This crate turns that
-//! engine into a serving subsystem:
+//! engine into a serving subsystem over a closed set of five backends —
+//! `scalar`, `sliced64`, `wide128`, `wide256` and `wide512`:
 //!
-//! * [`EvalBackend`] — the pluggable execution interface: capabilities (lane
-//!   group width), a relative cost model, and a group-evaluation entry
-//!   point. Every runtime starts with the scalar, 64-lane, and
-//!   128/256/512-lane backends; custom backends can be registered alongside
-//!   them ([`RuntimeBuilder::register`]).
 //! * [`Runtime`] — the facade: submit arbitrary-size request batches
 //!   ([`Runtime::serve_batch`]) or an unbounded request iterator
 //!   ([`Runtime::serve_stream`]) against any compiled circuit. The runtime
@@ -21,24 +17,24 @@
 //!   plus firing-count energy telemetry).
 //! * [`StreamSession`] ([`Runtime::open_session`]) — the streaming front
 //!   end both of the above are thin wrappers over, and the one place
-//!   serving options are set ([`SessionOptions`]: detail level, tenant,
-//!   weight, deadline, admission, faults): submit rows from any
+//!   serving options are set ([`SessionOptions`]: tenant, weight,
+//!   deadline, admission, faults): submit rows from any
 //!   thread into the bounded queue, consume completed responses
 //!   incrementally (in submission order through a bounded reorder window,
 //!   or out of order with explicit request ids), and recycle response
 //!   payloads through the session's pool, so unbounded streams run at flat
-//!   memory and the warmed-up [`Detail::Outputs`] loop allocates nothing.
+//!   memory and the warmed-up serve loop allocates nothing.
 //! * [`TenantId`] — multi-tenant fair scheduling: every submission belongs
 //!   to a tenant (per session via [`SessionOptions`], or per row via
 //!   [`StreamSession::submit_for`]), each tenant owns a bounded
 //!   queue inside the scheduler, and workers drain the queues by
-//!   deficit-weighted round-robin with groups charged at the backend cost
-//!   model's plane-op estimate — a bursty tenant waits out its own backlog
-//!   instead of starving everyone queued behind it.
+//!   deficit-weighted round-robin with groups charged at the circuit's
+//!   gate-class-weighted plane-op estimate — a bursty tenant waits out its
+//!   own backlog instead of starving everyone queued behind it.
 //! * Backend choice — the runtime picks the backend per (circuit, batch
 //!   size) by a lane-width rule: the smallest bit-sliced group covering
 //!   `min(batch, widest SIMD-vectorized group)`, or `scalar` where its cost
-//!   model is lower. No probe runs and nothing is cached;
+//!   estimate is lower. No probe runs and nothing is cached;
 //!   [`RuntimeBuilder::fixed_backend`] pins one backend instead.
 //! * [`Telemetry`] — lock-light counters: requests, groups, padded lanes,
 //!   gate-evaluations, firings (Uchizawa–Douglas–Maass energy), busy time,
@@ -126,12 +122,8 @@ mod scheduler;
 mod session;
 mod telemetry;
 mod trace;
-mod tuner;
 
-pub use backend::{
-    shape_response_shells, BackendCaps, Detail, EvalBackend, Response, ScalarBackend,
-    Sliced64Backend, WideBackend,
-};
+pub use backend::{Detail, Response};
 pub use faults::{FaultKind, FaultPlan};
 pub use metrics::{Histogram, HistogramSnapshot, StageHistograms, StageSnapshot, RELATIVE_ERROR};
 pub use ordered::{LockRank, OrderedMutex, OrderedMutexGuard};
@@ -162,10 +154,6 @@ impl std::fmt::Display for TenantId {
     }
 }
 
-// The plane scratch backends evaluate in: re-exported so custom
-// [`EvalBackend`] implementations need no direct `tc-circuit` dependency.
-pub use tc_circuit::PlaneArena;
-
 use std::fmt;
 
 /// Errors produced while serving requests through the runtime.
@@ -174,22 +162,10 @@ pub enum RuntimeError {
     /// The underlying circuit engine rejected a request (shape mismatch,
     /// lane bounds, …).
     Circuit(tc_circuit::CircuitError),
-    /// The registry holds no backend able to serve the request.
-    NoBackend,
-    /// A named backend was requested but is not registered.
+    /// [`RuntimeBuilder::fixed_backend`] named no backend of the set.
     UnknownBackend {
         /// The requested backend name.
         name: String,
-    },
-    /// A backend violated the [`EvalBackend`] contract by returning the
-    /// wrong number of responses for a lane group.
-    BackendContract {
-        /// The offending backend's name.
-        backend: &'static str,
-        /// Requests in the group.
-        expected: usize,
-        /// Responses the backend returned.
-        actual: usize,
     },
     /// A row was submitted after [`StreamSession::finish`] closed the
     /// submit side (previously an `assert!` that aborted the caller's
@@ -206,8 +182,8 @@ pub enum RuntimeError {
     },
     /// The request was accepted but could not be evaluated before its
     /// deadline ([`SessionOptions::deadline`]):
-    /// the scheduler skipped evaluation at pop time because the cost
-    /// model's calibrated per-group estimate no longer fit, and answered
+    /// the scheduler skipped evaluation at pop time because the session's
+    /// EWMA of measured group evals no longer fit, and answered
     /// the row with this error through the normal delivery window
     /// (accepted-implies-answered still holds).
     DeadlineExceeded,
@@ -230,18 +206,7 @@ impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RuntimeError::Circuit(e) => write!(f, "circuit engine error: {e}"),
-            RuntimeError::NoBackend => write!(f, "no registered backend can serve the request"),
-            RuntimeError::UnknownBackend { name } => {
-                write!(f, "no backend named {name:?} is registered")
-            }
-            RuntimeError::BackendContract {
-                backend,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "backend {backend:?} returned {actual} responses for a group of {expected} requests"
-            ),
+            RuntimeError::UnknownBackend { name } => write!(f, "no backend is named {name:?}"),
             RuntimeError::SessionFinished => {
                 write!(f, "request submitted after the session finished")
             }

@@ -311,8 +311,8 @@ pub struct StageHistograms {
     pub queue_wait: Histogram,
     /// Pack: first row packed into a group → the group dispatched.
     pub pack: Histogram,
-    /// Backend eval: wall-clock inside [`crate::EvalBackend::eval_group`],
-    /// per group.
+    /// Backend eval: wall-clock of one lane group's evaluation on the
+    /// serving backend, per group.
     pub eval: Histogram,
     /// Delivery wait: worker finished the group → consumer cursor reached
     /// it.

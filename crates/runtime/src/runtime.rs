@@ -1,10 +1,9 @@
 //! The serving facade: batch, stream, and session submission against any
 //! compiled circuit, with rule-picked backend choice and scheduler sharding.
 
-use crate::backend::{BackendRegistry, EvalBackend, Response};
+use crate::backend::{pick_by_rule, Lanes, Response};
 use crate::session::{SessionOptions, SessionShared, StreamSession};
 use crate::telemetry::{Telemetry, TelemetrySummary};
-use crate::tuner::pick_by_rule;
 use crate::Result;
 use std::sync::atomic::{AtomicU32, Ordering};
 use tc_circuit::CompiledCircuit;
@@ -51,7 +50,6 @@ impl RuntimeOptions {
 /// Builder for a configured [`Runtime`].
 #[derive(Debug)]
 pub struct RuntimeBuilder {
-    registry: BackendRegistry,
     opts: RuntimeOptions,
     fixed: Option<String>,
 }
@@ -75,12 +73,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Registers an additional backend (may shadow a standard one by name).
-    pub fn register(mut self, backend: Box<dyn EvalBackend>) -> Self {
-        self.registry.register(backend);
-        self
-    }
-
     /// Always serves on the backend named `name` instead of the lane-width
     /// rule; an unknown name fails every submission with
     /// [`crate::RuntimeError::UnknownBackend`].
@@ -91,15 +83,11 @@ impl RuntimeBuilder {
 
     /// Finishes the builder.
     pub fn build(self) -> Runtime {
-        let health = (0..self.registry.backends().len())
-            .map(|_| BackendHealth::default())
-            .collect();
         Runtime {
-            registry: self.registry,
             fixed: self.fixed,
             opts: self.opts,
             telemetry: Telemetry::default(),
-            health,
+            health: Default::default(),
         }
     }
 }
@@ -118,19 +106,18 @@ struct BackendHealth {
 
 /// A circuit-agnostic serving runtime.
 ///
-/// One instance owns a backend registry, a selection policy, and telemetry;
+/// One instance owns a selection policy, per-backend health, and telemetry;
 /// it holds no circuit state, so the same runtime serves any number of
 /// compiled circuits concurrently (`&self` everywhere, all state
 /// interior-mutable and thread-safe).
 #[derive(Debug)]
 pub struct Runtime {
-    registry: BackendRegistry,
     /// The backend [`RuntimeBuilder::fixed_backend`] pinned, if any.
     fixed: Option<String>,
     opts: RuntimeOptions,
     telemetry: Telemetry,
-    /// One entry per registered backend, indexed like the registry.
-    health: Vec<BackendHealth>,
+    /// One entry per backend, indexed like [`Lanes::ALL`].
+    health: [BackendHealth; Lanes::ALL.len()],
 }
 
 impl Default for Runtime {
@@ -140,8 +127,7 @@ impl Default for Runtime {
 }
 
 impl Runtime {
-    /// A runtime with the standard backends, the lane-width rule, and one
-    /// worker per core.
+    /// A runtime with the lane-width rule and one worker per core.
     pub fn new() -> Self {
         Runtime::default()
     }
@@ -149,23 +135,21 @@ impl Runtime {
     /// Starts configuring a runtime.
     pub fn builder() -> RuntimeBuilder {
         RuntimeBuilder {
-            registry: BackendRegistry::standard(),
             opts: RuntimeOptions::default(),
             fixed: None,
         }
     }
 
-    /// The registered backends.
-    pub(crate) fn registry(&self) -> &BackendRegistry {
-        &self.registry
-    }
-
     /// The name of the backend the runtime would use for `batch` requests
-    /// against `circuit`. Evaluates nothing: the pick is a rule over lane
-    /// widths and cost models.
+    /// against `circuit`. Evaluates nothing and changes nothing: the pick is
+    /// a rule over lane widths, and a quarantined pick reports `scalar`
+    /// while its skip budget remains without spending any of it.
     pub fn backend_for(&self, circuit: &CompiledCircuit, batch: usize) -> Result<&'static str> {
-        let idx = self.pick_backend(circuit, batch)?;
-        Ok(self.registry.backends()[idx].caps().name)
+        let lanes = self.rule_or_fixed(circuit, batch)?;
+        let h = self.health(lanes);
+        let quarantined =
+            h.strikes.load(Ordering::Relaxed) != 0 && h.skip.load(Ordering::Relaxed) != 0;
+        Ok(if quarantined { Lanes::Scalar } else { lanes }.name())
     }
 
     /// A snapshot of everything served so far.
@@ -226,8 +210,8 @@ impl Runtime {
     /// into full lane groups with a single ragged tail.
     ///
     /// A thin wrapper over [`Runtime::open_session`] with the default
-    /// [`SessionOptions`] ([`crate::Detail::Outputs`], the default tenant) sized by
-    /// the batch length; open a session directly for any other option.
+    /// [`SessionOptions`] (the default tenant) sized by the batch length;
+    /// open a session directly for any other option.
     pub fn serve_batch<R: AsRef<[bool]> + Sync>(
         &self,
         circuit: &CompiledCircuit,
@@ -287,58 +271,59 @@ impl Runtime {
         })
     }
 
-    pub(crate) fn pick_backend(&self, circuit: &CompiledCircuit, batch: usize) -> Result<usize> {
-        let idx = match &self.fixed {
-            Some(name) => self.registry.index_of(name),
-            None => pick_by_rule(&self.registry, circuit, batch),
-        }?;
-        if self.backend_usable(idx) {
-            return Ok(idx);
-        }
-        // Quarantined: prefer the always-safe scalar fallback until the
-        // backoff grants a re-probe. Keep the original pick when scalar is
-        // absent (custom registries) or is the quarantined backend itself —
-        // failover inside the session still retries each group once.
-        match self.registry.index_of("scalar") {
-            Ok(scalar) if scalar != idx => Ok(scalar),
-            _ => Ok(idx),
+    /// The pinned backend, or the lane-width rule's pick.
+    fn rule_or_fixed(&self, circuit: &CompiledCircuit, batch: usize) -> Result<Lanes> {
+        match &self.fixed {
+            Some(name) => Lanes::from_name(name),
+            None => Ok(pick_by_rule(circuit, batch)),
         }
     }
 
-    /// Records a failed group eval (error or panic) on backend `idx`: the
+    fn health(&self, lanes: Lanes) -> &BackendHealth {
+        &self.health[lanes as usize]
+    }
+
+    /// The backend a new session serves on. A quarantined pick falls back
+    /// to the always-safe `scalar` until the backoff grants a re-probe
+    /// (each refusal spends one unit of the skip budget); failover inside
+    /// the session still retries each failed group once on `scalar`.
+    pub(crate) fn pick_backend(&self, circuit: &CompiledCircuit, batch: usize) -> Result<Lanes> {
+        let lanes = self.rule_or_fixed(circuit, batch)?;
+        Ok(if self.backend_usable(lanes) {
+            lanes
+        } else {
+            Lanes::Scalar
+        })
+    }
+
+    /// Records a failed group eval (error or panic) on `lanes`: the
     /// backend is quarantined, so fresh picks skip it for `2^strikes`
     /// selections (capped at 64) before one probe is let through. Returns
     /// the new consecutive-strike count (for tracing).
-    pub(crate) fn note_backend_failure(&self, idx: usize) -> u32 {
-        let Some(h) = self.health.get(idx) else {
-            return 0;
-        };
+    pub(crate) fn note_backend_failure(&self, lanes: Lanes) -> u32 {
+        let h = self.health(lanes);
         let strikes = h.strikes.fetch_add(1, Ordering::Relaxed).saturating_add(1);
         h.skip.store(1u32 << strikes.min(6), Ordering::Relaxed);
         self.telemetry.record_quarantines(1);
         strikes
     }
 
-    /// Records a clean group eval on backend `idx`, lifting any quarantine.
+    /// Records a clean group eval on `lanes`, lifting any quarantine.
     /// The healthy path is a single relaxed load.
-    pub(crate) fn note_backend_ok(&self, idx: usize) {
-        let Some(h) = self.health.get(idx) else {
-            return;
-        };
+    pub(crate) fn note_backend_ok(&self, lanes: Lanes) {
+        let h = self.health(lanes);
         if h.strikes.load(Ordering::Relaxed) != 0 {
             h.strikes.store(0, Ordering::Relaxed);
             h.skip.store(0, Ordering::Relaxed);
         }
     }
 
-    /// Whether a fresh pick of backend `idx` may proceed: healthy backends
+    /// Whether a fresh pick of `lanes` may proceed: healthy backends
     /// always; quarantined ones only once their skip budget is spent (each
     /// refusal decrements it — counter-based, so re-probing is
     /// deterministic and needs no wall clock).
-    fn backend_usable(&self, idx: usize) -> bool {
-        let Some(h) = self.health.get(idx) else {
-            return true;
-        };
+    fn backend_usable(&self, lanes: Lanes) -> bool {
+        let h = self.health(lanes);
         if h.strikes.load(Ordering::Relaxed) == 0 {
             return true;
         }
@@ -369,7 +354,8 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Detail;
+    use crate::{FaultKind, FaultPlan};
+    use std::sync::Arc;
     use tc_circuit::{CircuitBuilder, CircuitError, Wire};
 
     /// 3-input full adder compiled once.
@@ -410,7 +396,7 @@ mod tests {
     fn serve_batch_matches_scalar_for_every_fixed_backend() {
         let cc = adder();
         let requests = rows(731); // ragged for every lane width
-        for name in BackendRegistry::standard().names() {
+        for name in Lanes::ALL.map(Lanes::name) {
             let runtime = Runtime::builder().fixed_backend(name).workers(3).build();
             let responses = runtime.serve_batch(&cc, &requests).unwrap();
             check_against_scalar(&cc, &requests, &responses);
@@ -509,85 +495,6 @@ mod tests {
         }
     }
 
-    /// A bit-sliced backend that must never run.
-    struct Unreachable(&'static str, usize);
-    impl crate::EvalBackend for Unreachable {
-        fn caps(&self) -> crate::BackendCaps {
-            crate::BackendCaps {
-                name: self.0,
-                lane_group: self.1,
-                bit_sliced: true,
-            }
-        }
-        fn cost_model(&self, _: &CompiledCircuit, _: usize) -> f64 {
-            0.0
-        }
-        fn eval_group(
-            &self,
-            _: &CompiledCircuit,
-            _: &[&[bool]],
-            _: Detail,
-            _: &mut tc_circuit::PlaneArena,
-            _: &mut Vec<crate::Response>,
-        ) -> crate::Result<()> {
-            panic!("backend {} evaluated outside a served request", self.0);
-        }
-    }
-
-    #[test]
-    fn picking_a_backend_evaluates_nothing() {
-        let cc = thermometer();
-        // Shadow the rule's pick for a large batch (wide512 on an AVX2 or
-        // AVX-512 host, sliced64 with SIMD off) with a backend that panics
-        // when evaluated.
-        let shadowed = Runtime::new().backend_for(&cc, 4096).unwrap();
-        let standard = BackendRegistry::standard();
-        let lanes = standard.backends()[standard.index_of(shadowed).unwrap()]
-            .caps()
-            .lane_group;
-        let runtime = Runtime::builder()
-            .register(Box::new(Unreachable(shadowed, lanes)))
-            .build();
-        let unreachable = runtime.registry().backends().len() - 1;
-        assert_eq!(runtime.pick_backend(&cc, 4096).unwrap(), unreachable);
-        assert_eq!(runtime.backend_for(&cc, 4096).unwrap(), shadowed);
-
-        let no_rows: Vec<Vec<bool>> = Vec::new();
-        assert!(runtime.serve_stream(&cc, no_rows).unwrap().is_empty());
-        let out = runtime.open_session(&cc, SessionOptions::default(), |session| {
-            session.finish();
-            session.next_response().map(|r| r.is_none())
-        });
-        assert!(out.unwrap());
-        assert_eq!(runtime.telemetry().requests, 0);
-    }
-
-    #[test]
-    fn detail_full_carries_the_evaluation() {
-        let cc = adder();
-        let runtime = Runtime::builder().fixed_backend("wide256").build();
-        let requests = rows(70);
-        let full = SessionOptions::default().detail(Detail::Full);
-        let responses = runtime.open_session(&cc, full, |session| {
-            let mut out = Vec::new();
-            for row in &requests {
-                session.submit_draining(row, &mut out).unwrap();
-            }
-            session.finish();
-            while let Some(resp) = session.next_response().unwrap() {
-                out.push(resp.into_response());
-            }
-            out
-        });
-        assert_eq!(responses.len(), requests.len());
-        for (row, response) in requests.iter().zip(&responses) {
-            assert_eq!(
-                response.evaluation.as_ref().unwrap(),
-                &cc.evaluate(row).unwrap()
-            );
-        }
-    }
-
     #[test]
     fn malformed_requests_surface_the_circuit_error() {
         let cc = adder();
@@ -601,72 +508,6 @@ mod tests {
         assert!(matches!(
             err,
             crate::RuntimeError::Circuit(CircuitError::InputLengthMismatch { .. })
-        ));
-    }
-
-    /// A buggy custom backend returning one response too few per group.
-    struct ShortChanger(&'static str);
-    impl crate::EvalBackend for ShortChanger {
-        fn caps(&self) -> crate::BackendCaps {
-            crate::BackendCaps {
-                name: self.0,
-                lane_group: 16,
-                bit_sliced: false,
-            }
-        }
-        fn cost_model(&self, _: &CompiledCircuit, _: usize) -> f64 {
-            0.0
-        }
-        fn eval_group(
-            &self,
-            circuit: &CompiledCircuit,
-            rows: &[&[bool]],
-            detail: Detail,
-            arena: &mut tc_circuit::PlaneArena,
-            responses: &mut Vec<crate::Response>,
-        ) -> crate::Result<()> {
-            crate::ScalarBackend.eval_group(circuit, rows, detail, arena, responses)?;
-            responses.pop();
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn short_changing_backends_fail_over_to_scalar() {
-        let cc = adder();
-        let runtime = Runtime::builder()
-            .register(Box::new(ShortChanger("short_changer")))
-            .fixed_backend("short_changer")
-            .workers(1)
-            .build();
-        // Every group trips the contract check, is retried once on the
-        // scalar fallback, and completes — the batch never aborts.
-        let requests = rows(40);
-        let responses = runtime.serve_batch(&cc, &requests).unwrap();
-        check_against_scalar(&cc, &requests, &responses);
-        let summary = runtime.telemetry();
-        assert_eq!(summary.retries, 40, "every row retried on scalar");
-        assert!(summary.quarantines >= 1, "failing backend quarantined");
-    }
-
-    #[test]
-    fn short_changing_scalar_shadow_still_surfaces_the_contract_error() {
-        let cc = adder();
-        // Shadow the scalar fallback with the same bug: the retry also
-        // short-changes, so the violation must surface, not be swallowed.
-        let runtime = Runtime::builder()
-            .register(Box::new(ShortChanger("short_changer")))
-            .register(Box::new(ShortChanger("scalar")))
-            .fixed_backend("short_changer")
-            .workers(1)
-            .build();
-        assert!(matches!(
-            runtime.serve_batch(&cc, &rows(40)),
-            Err(crate::RuntimeError::BackendContract {
-                backend: "scalar",
-                expected: 16,
-                actual: 15,
-            })
         ));
     }
 
@@ -689,5 +530,83 @@ mod tests {
             runtime.serve_batch(&cc, &rows(4)),
             Err(crate::RuntimeError::UnknownBackend { .. })
         ));
+    }
+
+    /// Serves one 8-row group (one lane group on every backend) through a
+    /// one-worker session, with `faults` armed when given.
+    fn serve_one_group(runtime: &Runtime, cc: &CompiledCircuit, faults: Option<Arc<FaultPlan>>) {
+        let opts = SessionOptions {
+            faults,
+            ..SessionOptions::default()
+        };
+        let served = runtime.open_session(cc, opts, |session| {
+            let mut out = Vec::new();
+            for row in rows(8) {
+                session.submit_draining(&row, &mut out).unwrap();
+            }
+            session.finish();
+            while let Some(resp) = session.next_response().unwrap() {
+                out.push(resp.into_response());
+            }
+            out
+        });
+        check_against_scalar(cc, &rows(8), &served);
+    }
+
+    /// Groups served so far on each backend.
+    fn groups_by_backend(runtime: &Runtime) -> Vec<(&'static str, u64)> {
+        let summary = runtime.telemetry();
+        summary
+            .per_backend
+            .iter()
+            .map(|(name, tally)| (*name, tally.groups))
+            .collect()
+    }
+
+    #[test]
+    fn quarantine_skips_two_picks_then_one_clean_probe_clears_the_strikes() {
+        let cc = adder();
+        let runtime = Runtime::builder()
+            .fixed_backend("sliced64")
+            .workers(1)
+            .build();
+        let panic_once = Arc::new(FaultPlan::new().inject(FaultKind::Panic, 1, 0, Some(1)));
+        // The panicking group fails over to scalar and quarantines sliced64
+        // with one strike: the next 2^1 picks skip it.
+        serve_one_group(&runtime, &cc, Some(panic_once));
+        assert_eq!(groups_by_backend(&runtime), vec![("scalar", 1)]);
+        assert_eq!(runtime.health(Lanes::W1).strikes.load(Ordering::Relaxed), 1);
+        serve_one_group(&runtime, &cc, None);
+        serve_one_group(&runtime, &cc, None);
+        assert_eq!(groups_by_backend(&runtime), vec![("scalar", 3)]);
+        // The budget is spent: the third session probes sliced64, and its
+        // clean group lifts the quarantine.
+        serve_one_group(&runtime, &cc, None);
+        assert_eq!(
+            groups_by_backend(&runtime),
+            vec![("scalar", 3), ("sliced64", 1)]
+        );
+        assert_eq!(runtime.health(Lanes::W1).strikes.load(Ordering::Relaxed), 0);
+        assert_eq!(runtime.telemetry().quarantines, 1);
+    }
+
+    #[test]
+    fn backend_for_reports_a_quarantine_without_spending_it() {
+        let cc = adder();
+        let runtime = Runtime::builder()
+            .fixed_backend("sliced64")
+            .workers(1)
+            .build();
+        let panic_once = Arc::new(FaultPlan::new().inject(FaultKind::Panic, 1, 0, Some(1)));
+        serve_one_group(&runtime, &cc, Some(panic_once));
+        for _ in 0..10 {
+            assert_eq!(runtime.backend_for(&cc, 64).unwrap(), "scalar");
+        }
+        // Ten queries later the skip budget is still whole: the next two
+        // sessions are still served on scalar.
+        serve_one_group(&runtime, &cc, None);
+        serve_one_group(&runtime, &cc, None);
+        assert_eq!(groups_by_backend(&runtime), vec![("scalar", 3)]);
+        assert_eq!(runtime.backend_for(&cc, 64).unwrap(), "sliced64");
     }
 }

@@ -22,8 +22,7 @@
 //! **deficit round robin** cursor — on each visit a tenant's deficit grows
 //! by `quantum × weight` cost units, and its head groups are handed out
 //! while the deficit covers their *charge* (the caller-supplied cost of
-//! evaluating the group, priced off the backend cost model's plane-op
-//! estimate). Over any interval in which two tenants stay backlogged, the
+//! evaluating the group, its gate-class-weighted plane-op estimate). Over any interval in which two tenants stay backlogged, the
 //! served cost per tenant tracks the weight ratio to within one maximal
 //! group charge — the standard DRR fairness bound. Backpressure is also per
 //! tenant: a bursty tenant fills *its own* queue and blocks, leaving other

@@ -20,24 +20,22 @@
 //! scheduling weights and route rows with
 //! [`submit_for`](StreamSession::submit_for). Each tenant owns its own
 //! bounded group queue inside the scheduler engine, drained by
-//! deficit-weighted round-robin with each group charged at the backend cost
-//! model's plane-op estimate — a tenant that bursts thousands of groups
-//! saturates *its own* queue and gets its weighted share of the workers,
-//! instead of starving every tenant queued behind it (head-of-line
+//! deficit-weighted round-robin with each group charged at the circuit's
+//! gate-class-weighted plane-op estimate — a tenant that bursts thousands
+//! of groups saturates *its own* queue and gets its weighted share of the
+//! workers, instead of starving every tenant queued behind it (head-of-line
 //! starvation, the PR 2 FIFO failure mode). Ordered delivery is per tenant:
 //! each tenant's responses arrive in that tenant's submission order.
 //!
 //! The session also owns a [`ResponsePool`]: consumed responses (their
-//! `outputs` storage and, under [`Detail::Full`], the evaluation buffers)
-//! are recycled from the consumer back to the scheduler workers via the
-//! [`PooledResponse`] guard, and spent row buffers flow back to submitters
-//! the same way. Together with the per-worker
+//! `outputs` storage) are recycled from the consumer back to the scheduler
+//! workers via the [`PooledResponse`] guard, and spent row buffers flow
+//! back to submitters the same way. Together with the per-worker
 //! [`PlaneArena`](tc_circuit::PlaneArena), this extends the kernel's
-//! zero-allocation guarantee to the whole [`Detail::Outputs`] serve loop —
-//! pinned by the counting-allocator test in
-//! `crates/runtime/tests/alloc_steady_state.rs`.
+//! zero-allocation guarantee to the whole serve loop — pinned by the
+//! counting-allocator test in `crates/runtime/tests/alloc_steady_state.rs`.
 
-use crate::backend::{plane_op_charge, Detail, Response};
+use crate::backend::{plane_op_charge, Detail, Lanes, Response};
 use crate::faults::FaultPlan;
 use crate::metrics::{Histogram, StageHistograms};
 use crate::ordered::{LockRank, OrderedMutex, OrderedMutexGuard};
@@ -53,7 +51,8 @@ use tc_circuit::{CompiledCircuit, PlaneArena};
 /// Per-session tunables for [`crate::Runtime::open_session`].
 #[derive(Debug, Clone)]
 pub struct SessionOptions {
-    /// How much of each evaluation every response carries.
+    /// How much of each evaluation every response carries
+    /// ([`Detail::Outputs`], the only level).
     pub detail: Detail,
     /// Deliver responses in submission order through the bounded reorder
     /// window (`true`, the default) or in completion order, identified by
@@ -82,7 +81,8 @@ pub struct SessionOptions {
     pub weight: u32,
     /// Per-request deadline, measured from the row's accepted-at stamp.
     /// When the scheduler pops a group whose remaining budget no longer
-    /// covers the calibrated per-group eval estimate, evaluation is
+    /// covers the session's running average of measured group evals
+    /// (an EWMA, 0 until the first group evaluates), evaluation is
     /// *skipped* and every row in the group is answered with
     /// [`RuntimeError::DeadlineExceeded`] through the normal delivery
     /// window — shedding doomed work instead of burning workers on answers
@@ -116,7 +116,8 @@ impl Default for SessionOptions {
 }
 
 impl SessionOptions {
-    /// Sets the [`Detail`] level of every response.
+    /// Sets the [`Detail`] level of every response (a no-op: responses
+    /// always carry outputs and the firing count).
     pub fn detail(mut self, detail: Detail) -> Self {
         self.detail = detail;
         self
@@ -177,14 +178,15 @@ impl SessionOptions {
 /// empty session resolves nothing).
 #[derive(Debug, Clone, Copy)]
 struct Plan {
-    backend_idx: usize,
+    lanes: Lanes,
+    /// `lanes.group()`, read once per submitted row.
     lane_group: usize,
     /// 1 means inline mode: the submitting thread evaluates groups itself —
     /// no worker threads, fully deterministic (and what `serve_batch` uses
     /// for single-worker runtimes).
     target_workers: usize,
     /// DRR cost of evaluating one lane group of this session's circuit, in
-    /// plane-op units from the backend cost model's gate-class estimate.
+    /// gate-class-weighted plane-op units ([`plane_op_charge`]).
     charge: u64,
 }
 
@@ -226,8 +228,7 @@ struct DoneGroup {
 /// Recycled buffers flowing backwards through the session: spent row
 /// buffers, row-set and id-set containers to the submit side, consumed
 /// [`Response`] shells and group containers to the workers. After warm-up
-/// every buffer in the [`Detail::Outputs`] loop comes from here instead of
-/// the allocator.
+/// every buffer in the serve loop comes from here instead of the allocator.
 #[derive(Debug, Default)]
 struct ResponsePool {
     rows: Vec<Vec<bool>>,
@@ -299,7 +300,7 @@ struct DrainCursor {
 }
 
 /// A reusable `&[bool]` table for handing a group's rows to
-/// [`crate::EvalBackend::eval_group`] without a per-group allocation: the
+/// [`Lanes::eval_group`] without a per-group allocation: the
 /// allocation persists across groups, the borrows do not (the table is
 /// emptied before every refill).
 #[derive(Debug, Default)]
@@ -398,11 +399,9 @@ pub(crate) struct SessionShared<'a> {
     /// Armed fault plan ([`SessionOptions::faults`] or `TCMM_FAULTS`);
     /// `None` in production — the hot path pays one `Option` check.
     faults: Option<Arc<FaultPlan>>,
-    /// EWMA of measured per-group eval nanoseconds — the cost model's
-    /// constant per-session plane-op charge calibrated against what this
-    /// machine actually measures, used by the pop-time deadline check. 0
-    /// until the first group evaluates (the check then only sheds groups
-    /// already past their deadline outright).
+    /// EWMA of measured per-group eval nanoseconds, used by the pop-time
+    /// deadline check. 0 until the first group evaluates (the check then
+    /// only sheds groups already past their deadline outright).
     eval_ns_estimate: AtomicU64,
 }
 
@@ -527,19 +526,18 @@ impl<'a> SessionShared<'a> {
         } else {
             self.runtime.options().stream_batch_hint
         };
-        let backend_idx = match self.runtime.pick_backend(self.circuit, batch) {
-            Ok(idx) => idx,
+        let lanes = match self.runtime.pick_backend(self.circuit, batch) {
+            Ok(lanes) => lanes,
             Err(e) => {
                 // Wake consumers blocked on a session that can never serve.
                 self.abort_session(e.clone());
                 return Err(e);
             }
         };
-        let caps = self.runtime.registry().backends()[backend_idx].caps();
         let _ = self
             .eval_hist
-            .set(self.runtime.telemetry_ref().backend_eval(caps.name));
-        let lane_group = caps.lane_group.max(1);
+            .set(self.runtime.telemetry_ref().backend_eval(lanes.name()));
+        let lane_group = lanes.group();
         let mut target_workers = self.runtime.options().effective_workers();
         if self.opts.batch_hint > 0 {
             target_workers = target_workers.min(self.opts.batch_hint.div_ceil(lane_group));
@@ -560,7 +558,7 @@ impl<'a> SessionShared<'a> {
         self.engine
             .configure(queue_capacity, window, self.opts.admission);
         let plan = Plan {
-            backend_idx,
+            lanes,
             lane_group,
             target_workers,
             charge: plane_op_charge(self.circuit),
@@ -681,30 +679,26 @@ impl<'a> SessionShared<'a> {
 
     fn recycle_shell(&self, mut resp: Response) {
         resp.outputs.clear();
-        // Keep the evaluation shell: `Detail::Full` backends refill it in
-        // place, reusing the gate-value buffer's capacity.
         lock_tolerant(&self.pool).shells.push(resp);
     }
 
     // ---- evaluation -------------------------------------------------------
 
-    /// Evaluates one group on `backend_idx` into a pooled container: the
-    /// shared hot path of worker threads and the inline mode. `primary`
-    /// marks the planned backend (fault hooks fire, the planned eval
-    /// histogram records); the scalar-failover retry passes `false` so a
+    /// Evaluates one group on `lanes` into a pooled container: the shared
+    /// hot path of worker threads and the inline mode. `primary` marks the
+    /// planned backend (fault hooks fire, the planned eval histogram
+    /// records); the scalar-failover retry passes `false` so a
     /// retried group cannot re-trip the fault that failed it and telemetry
     /// attributes the eval to the backend that actually ran it.
     fn eval_group_with(
         &self,
-        backend_idx: usize,
+        lanes: Lanes,
         group: &RowGroup,
         arena: &mut PlaneArena,
         refs: &mut RefsBuf,
         stages: &StageHistograms,
         primary: bool,
     ) -> Result<Vec<Response>> {
-        let backend = &self.runtime.registry().backends()[backend_idx];
-        let caps = backend.caps();
         if primary {
             if let Some(faults) = &self.faults {
                 faults.before_eval()?;
@@ -713,7 +707,7 @@ impl<'a> SessionShared<'a> {
         let mut responses = self.pool_container(group.rows.len());
         let rows = refs.fill(&group.rows);
         let t0 = Instant::now();
-        backend.eval_group(self.circuit, rows, self.opts.detail, arena, &mut responses)?;
+        lanes.eval_group(self.circuit, rows, arena, &mut responses)?;
         let busy_ns = t0.elapsed().as_nanos() as u64;
         stages.eval.record(busy_ns);
         if primary {
@@ -723,7 +717,7 @@ impl<'a> SessionShared<'a> {
         } else {
             self.runtime
                 .telemetry_ref()
-                .backend_eval(caps.name)
+                .backend_eval(lanes.name())
                 .record(busy_ns);
         }
         // Keep the deadline check's eval estimate warm (EWMA, α = 1/8):
@@ -736,18 +730,12 @@ impl<'a> SessionShared<'a> {
         };
         self.eval_ns_estimate.store(next, Ordering::Relaxed);
         // A wrong response count would corrupt request→response order during
-        // delivery; reject it as a backend contract violation.
-        if responses.len() != rows.len() {
-            return Err(RuntimeError::BackendContract {
-                backend: caps.name,
-                expected: rows.len(),
-                actual: responses.len(),
-            });
-        }
+        // delivery; `Lanes::eval_group` answers every row by construction.
+        debug_assert_eq!(responses.len(), rows.len(), "one response per row");
         // Padding only exists for fixed-lane-width (bit-sliced) passes; for
-        // per-request backends lane_group is just a scheduling hint.
-        let group_width = if caps.bit_sliced {
-            caps.lane_group.max(1)
+        // `scalar` the lane group is just a scheduling hint.
+        let group_width = if lanes.bit_sliced() {
+            lanes.group()
         } else {
             rows.len()
         };
@@ -763,7 +751,7 @@ impl<'a> SessionShared<'a> {
             f
         }));
         self.runtime.telemetry_ref().record_group(
-            caps.name,
+            lanes.name(),
             requests,
             group_width as u64,
             self.class_counts.map(|c| c as u64 * requests),
@@ -794,26 +782,22 @@ impl<'a> SessionShared<'a> {
         // construction.
         let plan = self.plan.get().expect("groups exist only after planning");
         let primary = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.eval_group_with(plan.backend_idx, group, arena, refs, stages, true)
+            self.eval_group_with(plan.lanes, group, arena, refs, stages, true)
         }));
         if matches!(&primary, Ok(Ok(_))) {
-            self.runtime.note_backend_ok(plan.backend_idx);
+            self.runtime.note_backend_ok(plan.lanes);
             return primary;
         }
-        let strikes = self.runtime.note_backend_failure(plan.backend_idx);
+        let strikes = self.runtime.note_backend_failure(plan.lanes);
         self.trace(
             group.tenant,
             seq,
             TraceEventKind::Quarantined,
             strikes as u64,
         );
-        // Retry once on the scalar fallback — unless the scalar backend IS
-        // the planned backend (nothing safer to fall back to) or it is not
-        // registered at all.
-        let Ok(scalar_idx) = self.runtime.registry().index_of("scalar") else {
-            return primary;
-        };
-        if scalar_idx == plan.backend_idx {
+        // Retry once on the scalar fallback — unless scalar IS the planned
+        // backend (nothing safer to fall back to).
+        if plan.lanes == Lanes::Scalar {
             return primary;
         }
         if primary.is_err() {
@@ -825,13 +809,13 @@ impl<'a> SessionShared<'a> {
         self.runtime.telemetry_ref().record_retries(n);
         self.trace(group.tenant, seq, TraceEventKind::Retried, n);
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.eval_group_with(scalar_idx, group, arena, refs, stages, false)
+            self.eval_group_with(Lanes::Scalar, group, arena, refs, stages, false)
         }))
     }
 
     /// Whether a group with this deadline can no longer finish in time:
-    /// the remaining budget is below the calibrated per-group eval
-    /// estimate. Deadline-free groups cost one `Option` check — no clock.
+    /// the remaining budget is below the session's EWMA of measured group
+    /// evals. Deadline-free groups cost one `Option` check — no clock.
     fn past_deadline(&self, deadline: Option<Instant>) -> bool {
         let Some(deadline) = deadline else {
             return false;
@@ -1201,8 +1185,8 @@ impl<'scope, 'env> StreamSession<'scope, 'env> {
     /// caller's slice is free immediately.
     ///
     /// Errors if a worker failed (the submit side is unblocked and every
-    /// queued group behind the failure is dropped), if backend selection
-    /// failed, or with [`RuntimeError::SessionFinished`] after
+    /// queued group behind the failure is dropped), if the pinned backend
+    /// name is unknown, or with [`RuntimeError::SessionFinished`] after
     /// [`StreamSession::finish`].
     ///
     /// Do not drive an entire stream with blocking submits from the one
@@ -1334,7 +1318,7 @@ impl<'scope, 'env> StreamSession<'scope, 'env> {
     /// weight; re-registering is a no-op returning the existing tenant.
     /// Weights are relative: while two tenants stay backlogged, the
     /// scheduler serves their groups in proportion to their weights
-    /// (deficit round-robin over the backend cost model's group charge).
+    /// (deficit round-robin over each group's plane-op charge).
     pub fn register_tenant(&self, tenant: TenantId, weight: u32) -> Result<()> {
         let mut pack = lock_checked(&self.shared.pack, "submit lock")?;
         if pack.finished {

@@ -131,7 +131,7 @@ pub struct TenantTally {
     /// denominator of the queue-wait mean (inline-evaluated groups never
     /// queue; groups dropped behind an abort were never popped).
     pub queued_groups: u64,
-    /// Summed DRR charge of the popped groups, in the backend cost model's
+    /// Summed DRR charge of the popped groups, in gate-class-weighted
     /// plane-op units — what "served cost tracks the weights" is measured
     /// in.
     pub served_cost: u64,

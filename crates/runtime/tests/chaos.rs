@@ -101,19 +101,164 @@ fn check_answered(
 fn injected_worker_panics_fail_over_and_answer_every_row() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let cc = adder();
+    // Both dispatch paths: inline on the submitter (one worker) and queued
+    // (two workers) catch the panic and retry the group once on scalar.
+    for workers in [1usize, 2] {
+        let runtime = Runtime::builder()
+            .fixed_backend("sliced64")
+            .workers(workers)
+            .build();
+        let plan = Arc::new(FaultPlan::new().inject(FaultKind::Panic, 5, 0, None));
+        let opts = SessionOptions::default().faults(Arc::clone(&plan));
+        let seen = drive(&runtime, &cc, opts, 2_000);
+        check_answered(&cc, &seen, 2_000);
+        assert!(seen.values().all(|o| o.is_ok()), "failover answers rows");
+        // 2,000 rows are 32 groups; every 5th eval panics: 7 groups.
+        assert_eq!(plan.fires(), 7, "workers={workers}");
+        let summary = runtime.telemetry();
+        assert_eq!(summary.quarantines, 7, "one strike per failed group");
+        // Each panicked group's rows are retried: 64 per full group, 16 for
+        // the tail, which only a queued run can draw a fault for.
+        if workers == 1 {
+            assert_eq!(summary.retries, 7 * 64);
+        } else {
+            assert!(
+                summary.retries >= 6 * 64 + 16,
+                "retries {}",
+                summary.retries
+            );
+        }
+        assert_eq!(summary.per_backend["scalar"].requests, summary.retries);
+    }
+}
+
+#[test]
+fn a_panicking_planned_scalar_surfaces_the_typed_error() {
+    // With scalar itself planned there is nothing safer to fail over to:
+    // the session aborts with the typed `SessionPanicked`, which both the
+    // consumer and the submitters observe through the normal error
+    // channel, never a wedge or an opaque PoisonError. With one worker the
+    // group runs inline on the submitter, whose `submit` returns the error
+    // itself.
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let cc = adder();
+    let panicked = RuntimeError::SessionPanicked { context: "worker" };
+    for workers in [1usize, 2] {
+        let runtime = Runtime::builder()
+            .fixed_backend("scalar")
+            .workers(workers)
+            .build();
+        // The 13th eval (rows 96..104 of 8-row scalar groups) panics.
+        let plan = Arc::new(FaultPlan::new().inject(FaultKind::Panic, 1_000, 12, Some(1)));
+        let opts = SessionOptions::default().faults(plan);
+        let (submit_err, err) = runtime.open_session(&cc, opts, |session| {
+            std::thread::scope(|s| {
+                let producer = s.spawn(|| {
+                    let mut submit_err = None;
+                    for i in 0..2_000usize {
+                        if let Err(e) = session.submit(&row_for(i)) {
+                            submit_err = Some((i, e));
+                            break;
+                        }
+                    }
+                    session.finish();
+                    submit_err
+                });
+                let err = loop {
+                    match session.next_response() {
+                        Ok(Some(_)) => {}
+                        Ok(None) => panic!("stream ended without surfacing the panic"),
+                        Err(e) => break e,
+                    }
+                };
+                (producer.join().unwrap(), err)
+            })
+        });
+        assert_eq!(err, panicked, "consumer (workers={workers})");
+        if workers == 1 {
+            // Row 104 is the first that does not fit the faulted group, so
+            // its submit dispatches that group inline and must return the
+            // error itself, not leave it to a later call.
+            assert_eq!(submit_err, Some((104, panicked.clone())));
+        }
+        assert_eq!(runtime.telemetry().retries, 0, "workers={workers}");
+    }
+}
+
+#[test]
+fn an_eval_error_on_a_planned_scalar_surfaces_through_serve_batch() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    // SAFETY: single-threaded with respect to env access — the SERIAL
+    // guard above keeps every test in this binary (the only ones reading
+    // TCMM_FAULTS mid-run) out of this window.
+    unsafe { std::env::set_var("TCMM_FAULTS", "error@every=3,offset=2,limit=1") };
+    let cc = adder();
     let runtime = Runtime::builder()
-        .fixed_backend("sliced64")
+        .fixed_backend("scalar")
+        .workers(1)
+        .build();
+    let result = runtime.serve_batch(&cc, &rows(40));
+    // SAFETY: still inside the SERIAL guard's window — same argument as the
+    // set_var above.
+    unsafe { std::env::remove_var("TCMM_FAULTS") };
+    assert_eq!(result, Err(RuntimeError::FaultInjected("eval_error")));
+    let summary = runtime.telemetry();
+    assert_eq!(summary.retries, 0, "scalar has no fallback to retry on");
+    assert_eq!(summary.quarantines, 1);
+}
+
+#[test]
+fn streamed_outputs_and_firing_counts_match_the_scalar_evaluator() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let cc = adder();
+    let runtime = Runtime::builder()
+        .fixed_backend("wide128")
         .workers(2)
         .build();
-    let plan = Arc::new(FaultPlan::new().inject(FaultKind::Panic, 5, 0, None));
-    let opts = SessionOptions::default().faults(Arc::clone(&plan));
-    let seen = drive(&runtime, &cc, opts, 2_000);
-    check_answered(&cc, &seen, 2_000);
-    assert!(seen.values().all(|o| o.is_ok()), "failover answers rows");
-    assert!(plan.fires() > 0, "the plan must actually have fired");
+    let n = 300;
+    runtime.open_session(&cc, SessionOptions::default(), |session| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..n {
+                    session.submit(&row_for(i)).unwrap();
+                }
+                session.finish();
+            });
+            let mut seen = 0usize;
+            for resp in session.responses() {
+                let resp = resp.unwrap();
+                let id = resp.request_id();
+                let expected = cc.evaluate(&row_for(id as usize)).unwrap();
+                assert_eq!(resp.outputs, expected.outputs(), "request {id}");
+                assert_eq!(
+                    resp.firing_count as usize,
+                    expected.firing_count(),
+                    "request {id}"
+                );
+                seen += 1;
+            }
+            assert_eq!(seen, n);
+        });
+    });
+}
+
+#[test]
+fn picking_a_backend_evaluates_nothing() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let cc = adder();
+    let runtime = Runtime::new();
+    runtime.backend_for(&cc, 4096).unwrap();
+    let no_rows: Vec<Vec<bool>> = Vec::new();
+    assert!(runtime.serve_stream(&cc, no_rows).unwrap().is_empty());
+    let empty = runtime.open_session(&cc, SessionOptions::default(), |session| {
+        session.finish();
+        session.next_response().map(|r| r.is_none())
+    });
+    assert!(empty.unwrap());
     let summary = runtime.telemetry();
-    assert!(summary.retries > 0, "panicked groups retried on scalar");
-    assert!(summary.quarantines > 0, "panicking backend quarantined");
+    assert_eq!(summary.groups, 0);
+    assert_eq!(summary.requests, 0);
+    assert!(summary.per_backend.is_empty());
 }
 
 #[test]

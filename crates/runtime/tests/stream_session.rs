@@ -1,13 +1,12 @@
 //! Integration tests for the streaming session front end: lazy backend
 //! pick, incremental in-order and out-of-order delivery, flat-memory
-//! behaviour under sustained load, mid-stream error propagation, and the
-//! `Detail::Full` stream path against the scalar evaluator.
+//! behaviour under sustained load, and mid-stream error propagation.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use tc_circuit::{CircuitBuilder, CircuitError, CompiledCircuit, Wire};
-use tc_runtime::{Detail, Response, Runtime, RuntimeError, SessionOptions, SubmitOrNext};
+use tc_runtime::{Response, Runtime, RuntimeError, SessionOptions, SubmitOrNext};
 
 /// 3-input full adder compiled once.
 fn adder() -> CompiledCircuit {
@@ -170,42 +169,6 @@ fn unbounded_streams_run_at_flat_memory() {
         summary.peak_in_flight_requests
     );
     assert!(summary.pool_hits > summary.pool_misses * 10);
-}
-
-#[test]
-fn detail_full_stream_matches_the_scalar_evaluator() {
-    let cc = adder();
-    let requests = rows(300);
-    let runtime = Runtime::builder()
-        .fixed_backend("wide128")
-        .workers(2)
-        .build();
-    let opts = SessionOptions::default().detail(Detail::Full);
-    runtime.open_session(&cc, opts, |session| {
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for row in &requests {
-                    session.submit(row).unwrap();
-                }
-                session.finish();
-            });
-            let mut seen = 0usize;
-            for resp in session.responses() {
-                let resp = resp.unwrap();
-                let row = &requests[resp.request_id() as usize];
-                let expected = cc.evaluate(row).unwrap();
-                assert_eq!(
-                    resp.evaluation.as_ref().expect("Detail::Full carries it"),
-                    &expected,
-                    "request {}",
-                    resp.request_id()
-                );
-                assert_eq!(resp.outputs, expected.outputs());
-                seen += 1;
-            }
-            assert_eq!(seen, requests.len());
-        })
-    });
 }
 
 #[test]
@@ -660,155 +623,6 @@ fn per_tenant_queues_keep_a_steady_tenant_out_of_a_bursts_shadow() {
             s.mean_queue_wait_ns() / 1e6,
             b.mean_queue_wait_ns() / 1e6,
         );
-    }
-}
-
-/// A buggy custom backend that panics on any all-true row (and can shadow a
-/// standard backend by name).
-struct PanickingBackend(&'static str);
-impl tc_runtime::EvalBackend for PanickingBackend {
-    fn caps(&self) -> tc_runtime::BackendCaps {
-        tc_runtime::BackendCaps {
-            name: self.0,
-            lane_group: 16,
-            bit_sliced: false,
-        }
-    }
-    fn cost_model(&self, _: &tc_circuit::CompiledCircuit, _: usize) -> f64 {
-        0.0
-    }
-    fn eval_group(
-        &self,
-        circuit: &tc_circuit::CompiledCircuit,
-        rows: &[&[bool]],
-        detail: tc_runtime::Detail,
-        arena: &mut tc_runtime::PlaneArena,
-        responses: &mut Vec<Response>,
-    ) -> tc_runtime::Result<()> {
-        if rows.iter().any(|r| r[0] && r[1] && r[2]) {
-            panic!("backend bug");
-        }
-        tc_runtime::ScalarBackend.eval_group(circuit, rows, detail, arena, responses)
-    }
-}
-
-#[test]
-fn a_panicking_backend_fails_over_to_scalar_without_aborting() {
-    // Robustness: a worker whose backend panics mid-evaluation used to
-    // abort the whole session. Both dispatch paths (worker threads, and
-    // the inline path one worker runs on the submitter) now catch the
-    // panic and retry the group once on the always-safe scalar fallback,
-    // so every accepted row is still answered and the stream completes.
-    let cc = adder();
-    for workers in [1, 2] {
-        let runtime = Runtime::builder()
-            .register(Box::new(PanickingBackend("panicker")))
-            .fixed_backend("panicker")
-            .workers(workers)
-            .build();
-        let served = runtime.open_session(&cc, SessionOptions::default(), |session| {
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    for i in 0..10_000usize {
-                        // Row 100 trips the backend panic in its lane group.
-                        let row = if i == 100 {
-                            vec![true, true, true]
-                        } else {
-                            vec![i % 2 == 0, false, true]
-                        };
-                        session.submit(&row).unwrap();
-                    }
-                    session.finish();
-                });
-                let mut served = 0u64;
-                for resp in session.responses() {
-                    let resp = resp.unwrap();
-                    // Spot-check the faulted row survived with correct outputs.
-                    if resp.request_id() == 100 {
-                        let expect = cc.evaluate(&[true, true, true]).unwrap();
-                        assert_eq!(resp.outputs, expect.outputs());
-                    }
-                    served += 1;
-                }
-                served
-            })
-        });
-        assert_eq!(
-            served, 10_000,
-            "every accepted row must be answered ({workers} workers)"
-        );
-        let summary = runtime.telemetry();
-        assert!(
-            summary.retries >= 16,
-            "the panicked group's rows must be counted as retries, got {} ({workers} workers)",
-            summary.retries
-        );
-        assert!(
-            summary.quarantines >= 1,
-            "panicking backend quarantined ({workers} workers)"
-        );
-    }
-}
-
-#[test]
-fn a_panicking_scalar_shadow_still_surfaces_the_typed_error() {
-    // When the scalar fallback itself is broken (here: shadowed by the
-    // same panicking bug), the retry panics too and the session must abort
-    // with the typed `SessionPanicked` — both the consumer and blocked
-    // submitters observe it through the normal error channel, never a
-    // wedge or an opaque PoisonError. With one worker the group runs
-    // inline on the submitter, whose `submit` returns the error itself.
-    let cc = adder();
-    let panicked = RuntimeError::SessionPanicked { context: "worker" };
-    for workers in [1, 2] {
-        let runtime = Runtime::builder()
-            .register(Box::new(PanickingBackend("panicker")))
-            .register(Box::new(PanickingBackend("scalar")))
-            .fixed_backend("panicker")
-            .workers(workers)
-            .build();
-        let (submit_err, err) = runtime.open_session(&cc, SessionOptions::default(), |session| {
-            std::thread::scope(|s| {
-                let producer = s.spawn(|| {
-                    let mut submit_err = None;
-                    for i in 0..10_000usize {
-                        let row = if i == 100 {
-                            vec![true, true, true]
-                        } else {
-                            vec![i % 2 == 0, false, true]
-                        };
-                        if let Err(e) = session.submit(&row) {
-                            submit_err = Some((i, e));
-                            break;
-                        }
-                    }
-                    session.finish();
-                    submit_err
-                });
-                let err = loop {
-                    match session.next_response() {
-                        Ok(Some(_)) => {}
-                        Ok(None) => panic!("stream ended without surfacing the panic"),
-                        Err(e) => break e,
-                    }
-                };
-                (producer.join().unwrap(), err)
-            })
-        });
-        assert_eq!(
-            err, panicked,
-            "the consumer must see the typed worker-panic error ({workers} workers)"
-        );
-        if workers == 1 {
-            // Row 112 is the first that does not fit row 100's full
-            // 16-lane group, so its submit dispatches that group inline and
-            // must return the error itself, not leave it to a later call.
-            assert_eq!(
-                submit_err,
-                Some((112, panicked.clone())),
-                "the inline submitter must get the typed worker-panic error"
-            );
-        }
     }
 }
 

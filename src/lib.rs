@@ -13,8 +13,9 @@
 //! * [`neuro`] — the neuromorphic-device simulator (mapping, energy, latency, fan-in
 //!   partitioning);
 //! * [`convnet`] — convolution-as-matmul workloads (im2col);
-//! * [`runtime`] — the pluggable multi-backend serving runtime (wide bit-sliced
-//!   lanes, streaming batch scheduler, rule-picked backend choice).
+//! * [`runtime`] — the serving runtime (a closed set of scalar and wide
+//!   bit-sliced backends, streaming batch scheduler, rule-picked backend
+//!   choice).
 //!
 //! See `examples/` for runnable end-to-end scenarios, and the `expt_e*` binaries of
 //! the `tcmm-bench` crate (listed in the README) for the reproduction of the paper's
